@@ -147,6 +147,13 @@ void track_freq_setup(stat4p4::MonitorApp& app) {
   app.install_freq_binding(spec);
 }
 
+/// Records which execution tier a BM_Switch* row actually ran on
+/// (p4sim::ExecTier as a number), so a STAT4_EXEC_TIER override cannot
+/// silently change what an unpinned row measures.
+void report_tier(benchmark::State& state, const p4sim::P4Switch& sw) {
+  state.counters["active_tier"] = static_cast<double>(sw.active_tier());
+}
+
 /// Per-packet loop matching the committed-baseline structure: a freshly
 /// crafted packet and a fresh SwitchOutput per packet through process().
 void track_freq_loop(benchmark::State& state, stat4p4::MonitorApp& app) {
@@ -157,6 +164,7 @@ void track_freq_loop(benchmark::State& state, stat4p4::MonitorApp& app) {
         p4sim::ipv4(8, 8, 8, 8), p4sim::ipv4(10, 0, subnet, 1), 1, 2)));
   }
   state.SetItemsProcessed(state.iterations());
+  report_tier(state, app.sw());
 }
 
 /// Steady-state drain loop — the structure FleetRunner's worker actually
@@ -183,6 +191,7 @@ void track_freq_drain_loop(benchmark::State& state, stat4p4::MonitorApp& app) {
     pkt = std::move(out.packets[0].second);  // recycle the buffer
   }
   state.SetItemsProcessed(state.iterations());
+  report_tier(state, app.sw());
 }
 
 }  // namespace
@@ -235,25 +244,14 @@ BENCHMARK(BM_SwitchTrackFreqPacketJit);
 void BM_SwitchTrackFreqPacketOptimized(benchmark::State& state) {
   // The same workload after the dataflow optimizer (stat4_opt) rewrote the
   // pipeline: fewer IR instructions and a smaller per-packet scratch span.
-  // Comparing against BM_SwitchTrackFreqPacket gives the dynamic payoff of
-  // the static instruction-count reduction stat4_opt --json reports.
+  // Same tier and loop as BM_SwitchTrackFreqPacketThreaded, its comparator,
+  // so the difference is the dynamic payoff of the static instruction-count
+  // reduction stat4_opt --json reports.
   stat4p4::MonitorApp app;
-  app.install_forward(p4sim::ipv4(10, 0, 0, 0), 8, 1);
-  stat4p4::FreqBindingSpec spec;
-  spec.dst_prefix = p4sim::ipv4(10, 0, 0, 0);
-  spec.dst_prefix_len = 8;
-  spec.dist = 1;
-  spec.shift = 8;
-  app.install_freq_binding(spec);
+  track_freq_setup(app);
   (void)analysis::optimize_switch(app.sw());
-
-  netsim::Rng rng(1);
-  for (auto _ : state) {
-    const auto subnet = 1 + static_cast<unsigned>(rng.below(6));
-    benchmark::DoNotOptimize(app.sw().process(p4sim::make_udp_packet(
-        p4sim::ipv4(8, 8, 8, 8), p4sim::ipv4(10, 0, subnet, 1), 1, 2)));
-  }
-  state.SetItemsProcessed(state.iterations());
+  app.sw().set_exec_tier(p4sim::ExecTier::kThreaded);
+  track_freq_drain_loop(state, app);
 }
 BENCHMARK(BM_SwitchTrackFreqPacketOptimized);
 
@@ -273,6 +271,7 @@ void BM_SwitchWindowTickPacket(benchmark::State& state) {
     benchmark::DoNotOptimize(app.sw().process(std::move(pkt)));
   }
   state.SetItemsProcessed(state.iterations());
+  report_tier(state, app.sw());
 }
 BENCHMARK(BM_SwitchWindowTickPacket);
 
@@ -285,6 +284,7 @@ void BM_SwitchForwardOnlyPacket(benchmark::State& state) {
         p4sim::ipv4(8, 8, 8, 8), p4sim::ipv4(10, 0, 1, 1), 1, 2)));
   }
   state.SetItemsProcessed(state.iterations());
+  report_tier(state, app.sw());
 }
 BENCHMARK(BM_SwitchForwardOnlyPacket);
 
@@ -306,6 +306,7 @@ void BM_SwitchSketchHHPacket(benchmark::State& state) {
         p4sim::ipv4(8, 8, 8, 8), p4sim::ipv4(10, 0, subnet, 1), 1, 2)));
   }
   state.SetItemsProcessed(state.iterations());
+  report_tier(state, app.sw());
 }
 BENCHMARK(BM_SwitchSketchHHPacket);
 

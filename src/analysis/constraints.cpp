@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "p4sim/dependency.hpp"
-#include "p4sim/disasm.hpp"
 
 namespace analysis {
 
@@ -30,62 +29,31 @@ void run_constraint_pass(const Program& program, const TargetProfile& profile,
     max_temp = std::max<std::size_t>(
         max_temp, std::max({ins.dst, ins.a, ins.b, ins.c}));
 
-    switch (ins.op) {
-      case Op::kMul:
-        if (!profile.has_mul) {
-          result.diags.report(
-              "S4-TGT-001", Severity::kError,
-              "multiplication on target '" + profile.name +
-                  "', which has no multiplier; use the shift-and-add "
-                  "approximation (approx_mul / approx_square) instead",
-              SourceLoc{program.name, loc, "mul"});
-        }
-        is_const[ins.dst] = is_const[ins.a] && is_const[ins.b];
-        break;
-      case Op::kShl:
-      case Op::kShr:
-        if (profile.const_shift_only && !is_const[ins.b]) {
-          result.diags.report(
-              "S4-TGT-004", Severity::kError,
-              std::string("shift by a run-time amount on target '") +
-                  profile.name + "', which only shifts by compile-time "
-                  "constants; unroll into an msb_index if-ladder of "
-                  "constant shifts",
-              SourceLoc{program.name, loc, p4sim::op_name(ins.op)});
-        }
-        is_const[ins.dst] = is_const[ins.a] && is_const[ins.b];
-        break;
-      case Op::kConst: is_const[ins.dst] = true; break;
-      case Op::kMov: is_const[ins.dst] = is_const[ins.a]; break;
-      case Op::kAdd:
-      case Op::kSub:
-      case Op::kAnd:
-      case Op::kOr:
-      case Op::kXor:
-      case Op::kEq:
-      case Op::kNe:
-      case Op::kLt:
-      case Op::kGt:
-      case Op::kLe:
-      case Op::kGe:
-        is_const[ins.dst] = is_const[ins.a] && is_const[ins.b];
-        break;
-      case Op::kNot: is_const[ins.dst] = is_const[ins.a]; break;
-      case Op::kSelect:
-        is_const[ins.dst] =
-            is_const[ins.a] && is_const[ins.b] && is_const[ins.c];
-        break;
-      case Op::kParam:
-      case Op::kLoadField:
-      case Op::kLoadReg:
-      case Op::kHash1:
-      case Op::kHash2:
-        is_const[ins.dst] = false;
-        break;
-      case Op::kStoreField:
-      case Op::kStoreReg:
-      case Op::kDigest:
-        break;
+    const p4sim::OpInfo& info = p4sim::op_info(ins.op);
+    if (ins.op == Op::kMul && !profile.has_mul) {
+      result.diags.report(
+          "S4-TGT-001", Severity::kError,
+          "multiplication on target '" + profile.name +
+              "', which has no multiplier; use the shift-and-add "
+              "approximation (approx_mul / approx_square) instead",
+          SourceLoc{program.name, loc, "mul"});
+    }
+    if (info.shape == p4sim::OpShape::kShift && profile.const_shift_only &&
+        !is_const[ins.b]) {
+      result.diags.report(
+          "S4-TGT-004", Severity::kError,
+          std::string("shift by a run-time amount on target '") +
+              profile.name + "', which only shifts by compile-time "
+              "constants; unroll into an msb_index if-ladder of "
+              "constant shifts",
+          SourceLoc{program.name, loc, info.name});
+    }
+    // A switch-ALU op is constant when all its reads are; params, loads and
+    // the hash externs never are.
+    if (info.writes_dst) {
+      is_const[ins.dst] = info.alu && (!info.reads_a || is_const[ins.a]) &&
+                          (!info.reads_b || is_const[ins.b]) &&
+                          (!info.reads_c || is_const[ins.c]);
     }
   }
 

@@ -1,72 +1,17 @@
 #include "analysis/dataflow.hpp"
 
 #include <algorithm>
-#include <array>
-
-#include "stat4/sparse_freq.hpp"
 
 namespace analysis {
 
 using p4sim::Instruction;
 using p4sim::Op;
+using p4sim::op_info;
+using p4sim::OpEffect;
+using p4sim::OpInfo;
 using p4sim::Program;
 using p4sim::TempId;
 using p4sim::Word;
-
-namespace {
-
-constexpr std::size_t kOpCount = static_cast<std::size_t>(Op::kDigest) + 1;
-
-std::array<OpEffects, kOpCount> build_effects() {
-  std::array<OpEffects, kOpCount> fx{};
-  auto at = [](std::array<OpEffects, kOpCount>& t, Op op) -> OpEffects& {
-    return t[static_cast<std::size_t>(op)];
-  };
-  // Value producers from immediates / action data.
-  at(fx, Op::kConst) = {.writes_dst = true, .pure = true};
-  at(fx, Op::kParam) = {.writes_dst = true};  // reads action data, not pure
-  // Unary over a.
-  for (Op op : {Op::kMov, Op::kNot}) {
-    at(fx, op) = {.writes_dst = true, .reads_a = true, .pure = true};
-  }
-  // Binary over a, b.
-  for (Op op : {Op::kAdd, Op::kSub, Op::kMul, Op::kShl, Op::kShr, Op::kAnd,
-                Op::kOr, Op::kXor, Op::kEq, Op::kNe, Op::kLt, Op::kGt,
-                Op::kLe, Op::kGe}) {
-    at(fx, op) = {.writes_dst = true, .reads_a = true, .reads_b = true,
-                  .pure = true};
-  }
-  at(fx, Op::kSelect) = {.writes_dst = true, .reads_a = true, .reads_b = true,
-                         .reads_c = true, .pure = true};
-  // Hash externs: deterministic pure mixes (stat4::sparse_hash1/2).
-  for (Op op : {Op::kHash1, Op::kHash2}) {
-    at(fx, op) = {.writes_dst = true, .reads_a = true, .pure = true};
-  }
-  // Packet / register state.
-  at(fx, Op::kLoadField) = {.writes_dst = true, .reads_field = true};
-  at(fx, Op::kStoreField) = {.reads_a = true, .writes_field = true};
-  at(fx, Op::kLoadReg) = {.writes_dst = true, .reads_a = true,
-                          .reads_reg = true};
-  at(fx, Op::kStoreReg) = {.reads_a = true, .reads_b = true,
-                           .writes_reg = true};
-  // kDigest reads a, b, c AND dst (the payload is [t[a], t[b], t[dst]],
-  // gated on t[c] != 0) and writes nothing.
-  at(fx, Op::kDigest) = {.reads_a = true, .reads_b = true, .reads_c = true,
-                         .reads_dst = true, .digest = true};
-  return fx;
-}
-
-}  // namespace
-
-const OpEffects& op_effects(Op op) noexcept {
-  static const std::array<OpEffects, kOpCount> kTable = build_effects();
-  return kTable[static_cast<std::size_t>(op)];
-}
-
-bool has_side_effect(Op op) noexcept {
-  const OpEffects& fx = op_effects(op);
-  return fx.writes_field || fx.writes_reg || fx.digest;
-}
 
 bool ProgramFacts::registers_conflict(const ProgramFacts& other) const {
   for (const p4sim::RegisterId r : regs_read) {
@@ -89,18 +34,20 @@ ProgramFacts collect_facts(const Program& program) {
     note_temp(t);
   };
   for (const Instruction& ins : program.code) {
-    const OpEffects& fx = op_effects(ins.op);
-    if (fx.reads_a) read(ins.a);
-    if (fx.reads_b) read(ins.b);
-    if (fx.reads_c) read(ins.c);
-    if (fx.reads_dst) read(ins.dst);
-    if (fx.reads_field) facts.fields_read.set(static_cast<std::size_t>(ins.field));
-    if (fx.writes_field) {
-      facts.fields_written.set(static_cast<std::size_t>(ins.field));
+    const OpInfo& info = op_info(ins.op);
+    if (info.reads_a) read(ins.a);
+    if (info.reads_b) read(ins.b);
+    if (info.reads_c) read(ins.c);
+    if (info.reads_dst) read(ins.dst);
+    // A state op that writes dst is a load; one that writes no temp stores.
+    if (info.effect == OpEffect::kField) {
+      (info.writes_dst ? facts.fields_read : facts.fields_written)
+          .set(static_cast<std::size_t>(ins.field));
     }
-    if (fx.reads_reg) facts.regs_read.insert(ins.reg);
-    if (fx.writes_reg) facts.regs_written.insert(ins.reg);
-    if (fx.writes_dst) {
+    if (info.effect == OpEffect::kRegister) {
+      (info.writes_dst ? facts.regs_read : facts.regs_written).insert(ins.reg);
+    }
+    if (info.writes_dst) {
       facts.written.set(ins.dst);
       note_temp(ins.dst);
     }
@@ -115,41 +62,14 @@ std::vector<TempSet> liveness_after(const Program& program,
   for (std::size_t i = program.code.size(); i-- > 0;) {
     after[i] = live;
     const Instruction& ins = program.code[i];
-    const OpEffects& fx = op_effects(ins.op);
-    if (fx.writes_dst) live.reset(ins.dst);
-    if (fx.reads_a) live.set(ins.a);
-    if (fx.reads_b) live.set(ins.b);
-    if (fx.reads_c) live.set(ins.c);
-    if (fx.reads_dst) live.set(ins.dst);
+    const OpInfo& info = op_info(ins.op);
+    if (info.writes_dst) live.reset(ins.dst);
+    if (info.reads_a) live.set(ins.a);
+    if (info.reads_b) live.set(ins.b);
+    if (info.reads_c) live.set(ins.c);
+    if (info.reads_dst) live.set(ins.dst);
   }
   return after;
-}
-
-std::optional<Word> fold_instruction(const Instruction& ins, Word a, Word b,
-                                     Word c) {
-  switch (ins.op) {
-    case Op::kConst: return ins.imm;
-    case Op::kMov: return a;
-    case Op::kAdd: return a + b;
-    case Op::kSub: return a - b;
-    case Op::kMul: return a * b;
-    case Op::kShl: return a << (b & 63);
-    case Op::kShr: return a >> (b & 63);
-    case Op::kAnd: return a & b;
-    case Op::kOr: return a | b;
-    case Op::kXor: return a ^ b;
-    case Op::kNot: return ~a;
-    case Op::kEq: return a == b ? 1 : 0;
-    case Op::kNe: return a != b ? 1 : 0;
-    case Op::kLt: return a < b ? 1 : 0;
-    case Op::kGt: return a > b ? 1 : 0;
-    case Op::kLe: return a <= b ? 1 : 0;
-    case Op::kGe: return a >= b ? 1 : 0;
-    case Op::kSelect: return a != 0 ? b : c;
-    case Op::kHash1: return stat4::sparse_hash1(a);
-    case Op::kHash2: return stat4::sparse_hash2(a);
-    default: return std::nullopt;
-  }
 }
 
 Instruction make_const(TempId dst, Word v) {
@@ -170,20 +90,14 @@ Instruction make_mov(TempId dst, TempId src) {
 
 bool same_instruction(const Instruction& lhs, const Instruction& rhs) {
   if (lhs.op != rhs.op) return false;
-  const OpEffects& fx = op_effects(lhs.op);
-  if ((fx.writes_dst || fx.reads_dst) && lhs.dst != rhs.dst) return false;
-  if (fx.reads_a && lhs.a != rhs.a) return false;
-  if (fx.reads_b && lhs.b != rhs.b) return false;
-  if (fx.reads_c && lhs.c != rhs.c) return false;
-  if ((lhs.op == Op::kConst || lhs.op == Op::kParam ||
-       lhs.op == Op::kDigest) &&
-      lhs.imm != rhs.imm) {
-    return false;
-  }
-  if ((fx.reads_field || fx.writes_field) && lhs.field != rhs.field) {
-    return false;
-  }
-  if ((fx.reads_reg || fx.writes_reg) && lhs.reg != rhs.reg) return false;
+  const OpInfo& info = op_info(lhs.op);
+  if ((info.writes_dst || info.reads_dst) && lhs.dst != rhs.dst) return false;
+  if (info.reads_a && lhs.a != rhs.a) return false;
+  if (info.reads_b && lhs.b != rhs.b) return false;
+  if (info.reads_c && lhs.c != rhs.c) return false;
+  if (info.uses_imm && lhs.imm != rhs.imm) return false;
+  if (info.effect == OpEffect::kField && lhs.field != rhs.field) return false;
+  if (info.effect == OpEffect::kRegister && lhs.reg != rhs.reg) return false;
   return true;
 }
 

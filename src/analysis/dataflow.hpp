@@ -1,23 +1,19 @@
 // Reusable dataflow analyses over the p4sim straight-line IR.
 //
 // Everything the transform passes (passes.hpp) need to reason about a
-// program lives here, factored so each analysis is independently testable:
+// program lives here, factored so each analysis is independently testable.
+// Per-opcode facts (operand slots read, dst written, purity, state access)
+// and the pure evaluator come from p4sim's op table (p4sim/op_table.hpp:
+// `op_info`, `eval`), the same source the interpreter runs, so constant
+// folding can never diverge from execution.  On top of it:
 //
-//   op_effects()        — per-opcode metadata: which operand slots are read,
-//                         whether dst is written, purity, state access.  The
-//                         one subtle entry is kDigest, which READS a, b, c
-//                         AND dst (the payload) and writes nothing;
 //   collect_facts()     — per-program summaries (written / upward-exposed
 //                         temp sets, register and field access sets) used by
 //                         liveness seeding, stage packing, and the pipeline
 //                         temp-sharing analysis in pass_manager.cpp;
 //   liveness_after()    — backward temp liveness, the basis of dead-code
 //                         elimination;
-//   fold_instruction()  — compile-time evaluation mirroring execute()
-//                         bit-exactly (wrapping uint64 arithmetic, shift
-//                         amounts masked & 63, 0/1 comparisons, the real
-//                         hash externs), so constant folding can never
-//                         diverge from the interpreter.
+//   same_instruction()  — structural equality over the slots an op uses.
 //
 // Temps persist across pipeline stages within one packet (stages share the
 // ExecutionContext), so per-program results are only safe to act on
@@ -26,7 +22,6 @@
 
 #include <bitset>
 #include <cstdint>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -37,32 +32,6 @@ namespace analysis {
 
 /// Set of scratch temps (PHV containers).
 using TempSet = std::bitset<p4sim::kTempCount>;
-
-/// Static effects of one opcode.  `pure` means the result is a function of
-/// the read temps and the immediate only — no packet, register, or digest
-/// state involved — so the instruction is removable when dead and foldable
-/// when its inputs are known.  kParam is NOT pure (it reads action data)
-/// but is still CSE-able within one execution; the passes special-case it.
-struct OpEffects {
-  bool writes_dst = false;
-  bool reads_a = false;
-  bool reads_b = false;
-  bool reads_c = false;
-  bool reads_dst = false;  ///< kDigest only: dst is a payload *source*
-  bool pure = false;
-  bool reads_field = false;
-  bool writes_field = false;
-  bool reads_reg = false;
-  bool writes_reg = false;
-  /// Emits into the digest stream — never removable, never mergeable.
-  bool digest = false;
-};
-
-[[nodiscard]] const OpEffects& op_effects(p4sim::Op op) noexcept;
-
-/// True when the instruction has an observable effect beyond writing its
-/// dst temp (field/register store, digest emission).
-[[nodiscard]] bool has_side_effect(p4sim::Op op) noexcept;
 
 /// Per-program dataflow summary.
 struct ProgramFacts {
@@ -92,14 +61,6 @@ struct ProgramFacts {
 /// is dead.
 [[nodiscard]] std::vector<TempSet> liveness_after(
     const p4sim::Program& program, const TempSet& live_out);
-
-/// Evaluates a pure instruction whose temp operands hold the given values,
-/// mirroring execute() exactly (wrapping arithmetic, `& 63` shift masking,
-/// 0/1 comparisons, the stat4 hash externs).  Returns nullopt for opcodes
-/// whose result depends on runtime state (loads, params, stores, digest).
-[[nodiscard]] std::optional<p4sim::Word> fold_instruction(
-    const p4sim::Instruction& ins, p4sim::Word a, p4sim::Word b,
-    p4sim::Word c);
 
 /// A canonical kConst: every unused operand slot zeroed, so structurally
 /// equal rewrites compare equal (CSE keys, golden emissions, idempotence).

@@ -5,8 +5,6 @@
 #include <set>
 #include <string>
 
-#include "p4sim/disasm.hpp"
-
 namespace analysis {
 
 namespace {
@@ -47,6 +45,7 @@ class ValueNumbering {
     const std::string a = std::to_string(vn_[ins.a]);
     const std::string b = std::to_string(vn_[ins.b]);
     const std::string c = std::to_string(vn_[ins.c]);
+    const std::string op_name = p4sim::op_info(ins.op).name;
     switch (ins.op) {
       case Op::kConst:
         vn_[ins.dst] = number("C" + std::to_string(ins.imm));
@@ -73,13 +72,11 @@ class ValueNumbering {
         break;
       case Op::kHash1:
       case Op::kHash2:
-        vn_[ins.dst] =
-            number(std::string(p4sim::op_name(ins.op)) + "(" + a + ")");
+        vn_[ins.dst] = number(op_name + "(" + a + ")");
         break;
       case Op::kDigest: break;
       default:
-        vn_[ins.dst] = number(std::string(p4sim::op_name(ins.op)) + "(" + a +
-                              "," + b + "," + c + ")");
+        vn_[ins.dst] = number(op_name + "(" + a + "," + b + "," + c + ")");
         break;
     }
   }

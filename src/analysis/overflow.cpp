@@ -160,15 +160,15 @@ void transfer(const Program& p, const std::vector<Interval>& params,
       case Op::kDigest: continue;
     }
     if (ovf) {
-      em.emit("S4-OVF-003", Severity::kError, p.name, loc,
-              p4sim::op_name(ins.op),
-              std::string(p4sim::op_name(ins.op)) + " of " + range_str(a) +
-                  " and " + range_str(b) + " reaches " + bound_str(r.hi) +
+      const char* const op_name = p4sim::op_info(ins.op).name;
+      em.emit("S4-OVF-003", Severity::kError, p.name, loc, op_name,
+              std::string(op_name) + " of " + range_str(a) + " and " +
+                  range_str(b) + " reaches " + bound_str(r.hi) +
                   " > 2^64-1: the 64-bit word wraps " + em.scope);
     }
     if (wrap) {
       em.emit("S4-OVF-004", Severity::kNote, p.name, loc,
-              p4sim::op_name(ins.op),
+              p4sim::op_info(ins.op).name,
               std::string("subtraction ") + range_str(a) + " - " +
                   range_str(b) + " may wrap below zero " + em.scope);
     }

@@ -17,6 +17,8 @@ using p4sim::Guard;
 using p4sim::Instruction;
 using p4sim::kTempCount;
 using p4sim::Op;
+using p4sim::op_info;
+using p4sim::OpInfo;
 using p4sim::Program;
 using p4sim::TempId;
 using p4sim::Word;
@@ -38,14 +40,14 @@ ConstLattice seed_lattice(const PassContext& ctx) {
 
 /// Folds `ins` to a constant when pure with all read operands known.
 std::optional<Word> try_fold(const Instruction& ins, const ConstLattice& val) {
-  const OpEffects& fx = op_effects(ins.op);
-  if (!fx.pure || !fx.writes_dst) return std::nullopt;
-  if (fx.reads_a && !val[ins.a]) return std::nullopt;
-  if (fx.reads_b && !val[ins.b]) return std::nullopt;
-  if (fx.reads_c && !val[ins.c]) return std::nullopt;
-  return fold_instruction(ins, fx.reads_a ? *val[ins.a] : 0,
-                          fx.reads_b ? *val[ins.b] : 0,
-                          fx.reads_c ? *val[ins.c] : 0);
+  const OpInfo& info = op_info(ins.op);
+  if (!info.pure()) return std::nullopt;
+  if (info.reads_a && !val[ins.a]) return std::nullopt;
+  if (info.reads_b && !val[ins.b]) return std::nullopt;
+  if (info.reads_c && !val[ins.c]) return std::nullopt;
+  return p4sim::eval(ins.op, ins.imm, info.reads_a ? *val[ins.a] : 0,
+                     info.reads_b ? *val[ins.b] : 0,
+                     info.reads_c ? *val[ins.c] : 0);
 }
 
 /// Algebraic identities over partially known operands (x+0, x<<0, x&0, ...).
@@ -89,7 +91,7 @@ Instruction simplify_with_lattice(const Instruction& ins,
 
 /// Lattice transfer after an instruction has reached its final form.
 void update_lattice(const Instruction& ins, ConstLattice& val) {
-  if (!op_effects(ins.op).writes_dst) return;
+  if (!op_info(ins.op).writes_dst) return;
   if (ins.op == Op::kConst) {
     val[ins.dst] = ins.imm;
   } else if (ins.op == Op::kMov) {
@@ -119,7 +121,7 @@ std::size_t run_constprop(Program& program, const PassContext& ctx) {
     Instruction ins = orig;
     if (const std::optional<Word> folded = try_fold(ins, val)) {
       ins = make_const(ins.dst, *folded);
-    } else if (op_effects(ins.op).pure) {
+    } else if (op_info(ins.op).pure()) {
       ins = simplify_with_lattice(ins, val);
     }
     if (!same_instruction(ins, orig)) ++rewrites;
@@ -143,19 +145,6 @@ constexpr std::uint32_t kZeroVn = 0;
 /// for the state loads, so a store to a field/array retires prior loads.
 using ExprKey = std::tuple<std::uint8_t, std::uint64_t, std::uint64_t,
                            std::uint64_t, Word>;
-
-bool commutative(Op op) {
-  switch (op) {
-    case Op::kAdd:
-    case Op::kMul:
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-    case Op::kEq:
-    case Op::kNe: return true;
-    default: return false;
-  }
-}
 
 }  // namespace
 
@@ -191,6 +180,7 @@ std::size_t run_cse(Program& program, const PassContext& ctx) {
     return bits >= 64 ? ~Word{0} : (Word{1} << bits) - 1;
   };
   auto bits_of = [&](const Instruction& ins) -> Word {
+    if (op_info(ins.op).shape == p4sim::OpShape::kCompare) return 1;
     switch (ins.op) {
       case Op::kConst: return ins.imm;
       case Op::kLoadField:
@@ -202,12 +192,6 @@ std::size_t run_cse(Program& program, const PassContext& ctx) {
               std::min(ctx.registers->info(ins.reg).width_bits, 64u));
         }
         return ~Word{0};
-      case Op::kEq:
-      case Op::kNe:
-      case Op::kLt:
-      case Op::kGt:
-      case Op::kLe:
-      case Op::kGe: return 1;
       case Op::kAnd: return vnbits[vn[ins.a]] & vnbits[vn[ins.b]];
       case Op::kOr:
       case Op::kXor: return vnbits[vn[ins.a]] | vnbits[vn[ins.b]];
@@ -223,22 +207,18 @@ std::size_t run_cse(Program& program, const PassContext& ctx) {
   auto make_key = [&](const Instruction& ins) -> ExprKey {
     const auto op = static_cast<std::uint8_t>(ins.op);
     switch (ins.op) {
-      case Op::kConst: return {op, 0, 0, 0, ins.imm};
-      case Op::kParam: return {op, 0, 0, 0, ins.imm};
       case Op::kLoadField:
         return {op, static_cast<std::uint64_t>(ins.field),
                 field_ver[static_cast<std::size_t>(ins.field)], 0, 0};
       case Op::kLoadReg:
         return {op, ins.reg, vn[ins.a], reg_ver[ins.reg], 0};
-      case Op::kNot:
-      case Op::kHash1:
-      case Op::kHash2: return {op, vn[ins.a], 0, 0, 0};
-      case Op::kSelect: return {op, vn[ins.a], vn[ins.b], vn[ins.c], 0};
-      default: {
-        std::uint64_t x = vn[ins.a];
-        std::uint64_t y = vn[ins.b];
-        if (commutative(ins.op) && y < x) std::swap(x, y);
-        return {op, x, y, 0, 0};
+      default: {  // kConst, kParam and the pure ops other than kMov
+        const OpInfo& info = op_info(ins.op);
+        std::uint64_t x = info.reads_a ? vn[ins.a] : 0;
+        std::uint64_t y = info.reads_b ? vn[ins.b] : 0;
+        if (info.commutative && y < x) std::swap(x, y);
+        return {op, x, y, info.reads_c ? vn[ins.c] : 0,
+                info.uses_imm ? ins.imm : 0};
       }
     }
   };
@@ -247,7 +227,7 @@ std::size_t run_cse(Program& program, const PassContext& ctx) {
   for (Instruction& slot : program.code) {
     const Instruction orig = slot;
     Instruction ins = slot;
-    const OpEffects& fx = op_effects(ins.op);
+    const OpInfo& info = op_info(ins.op);
 
     // Canonicalize every read operand to the earliest live holder of its
     // value (subsumes copy propagation; makes duplicate expressions key
@@ -256,14 +236,14 @@ std::size_t run_cse(Program& program, const PassContext& ctx) {
       if (const auto h = holder_of(vn[t]); h && *h != t) return *h;
       return t;
     };
-    if (fx.reads_a) ins.a = canon(ins.a);
-    if (fx.reads_b) ins.b = canon(ins.b);
-    if (fx.reads_c) ins.c = canon(ins.c);
-    if (fx.reads_dst) ins.dst = canon(ins.dst);  // digest payload slot
+    if (info.reads_a) ins.a = canon(ins.a);
+    if (info.reads_b) ins.b = canon(ins.b);
+    if (info.reads_c) ins.c = canon(ins.c);
+    if (info.reads_dst) ins.dst = canon(ins.dst);  // digest payload slot
 
     // Value-identity simplifications: operands with equal value numbers.
-    if (fx.writes_dst && fx.pure) {
-      const bool ab_same = fx.reads_b && vn[ins.a] == vn[ins.b];
+    if (info.pure()) {
+      const bool ab_same = info.reads_b && vn[ins.a] == vn[ins.b];
       switch (ins.op) {
         case Op::kSub:
         case Op::kXor:
@@ -315,10 +295,10 @@ std::size_t run_cse(Program& program, const PassContext& ctx) {
       // word: value fits the declared cell width (writes mask) and the
       // index is provably in bounds (OOB writes drop, OOB reads return 0).
       if (ctx.registers != nullptr && ins.reg < ctx.registers->array_count()) {
-        const p4sim::RegisterArrayInfo& info = ctx.registers->info(ins.reg);
-        const Word cell_mask = width_mask(std::min(info.width_bits, 64u));
+        const p4sim::RegisterArrayInfo& arr = ctx.registers->info(ins.reg);
+        const Word cell_mask = width_mask(std::min(arr.width_bits, 64u));
         if ((vnbits[vn[ins.b]] & ~cell_mask) == 0 &&
-            vnbits[vn[ins.a]] < info.size) {
+            vnbits[vn[ins.a]] < arr.size) {
           exprs[{static_cast<std::uint8_t>(Op::kLoadReg), ins.reg, vn[ins.a],
                  reg_ver[ins.reg], 0}] = vn[ins.b];
         }
@@ -326,7 +306,7 @@ std::size_t run_cse(Program& program, const PassContext& ctx) {
     } else if (ins.op == Op::kMov) {
       vn[ins.dst] = vn[ins.a];
       claim(vn[ins.dst], ins.dst);
-    } else if (fx.writes_dst) {
+    } else if (info.writes_dst) {
       const ExprKey key = make_key(ins);
       const auto it = exprs.find(key);
       std::uint32_t v = 0;
@@ -359,10 +339,11 @@ std::size_t run_dce(Program& program, const PassContext& ctx) {
   std::size_t rewrites = 0;
   for (std::size_t i = 0; i < program.code.size(); ++i) {
     const Instruction& ins = program.code[i];
-    const OpEffects& fx = op_effects(ins.op);
     const bool noop_mov = ins.op == Op::kMov && ins.a == ins.dst;
-    const bool dead = fx.writes_dst && !has_side_effect(ins.op) &&
-                      !after[i].test(ins.dst);
+    // An op that writes a temp has no other effect (stores and digests
+    // write none), so an unread dst makes it dead.
+    const bool dead =
+        op_info(ins.op).writes_dst && !after[i].test(ins.dst);
     if (noop_mov || dead) {
       ++rewrites;
       continue;
@@ -383,11 +364,11 @@ std::size_t run_dce(Program& program, const PassContext& ctx) {
   if (ctx.live_out.none() && self_contained) {
     TempSet used;
     for (const Instruction& ins : program.code) {
-      const OpEffects& fx = op_effects(ins.op);
-      if (fx.reads_a) used.set(ins.a);
-      if (fx.reads_b) used.set(ins.b);
-      if (fx.reads_c) used.set(ins.c);
-      if (fx.writes_dst || fx.reads_dst) used.set(ins.dst);
+      const OpInfo& info = op_info(ins.op);
+      if (info.reads_a) used.set(ins.a);
+      if (info.reads_b) used.set(ins.b);
+      if (info.reads_c) used.set(ins.c);
+      if (info.writes_dst || info.reads_dst) used.set(ins.dst);
     }
     std::vector<TempId> rename(kTempCount, 0);
     TempId next = 0;
@@ -401,11 +382,11 @@ std::size_t run_dce(Program& program, const PassContext& ctx) {
     if (!identity) {
       for (Instruction& ins : program.code) {
         const Instruction orig = ins;
-        const OpEffects& fx = op_effects(ins.op);
-        if (fx.reads_a) ins.a = rename[ins.a];
-        if (fx.reads_b) ins.b = rename[ins.b];
-        if (fx.reads_c) ins.c = rename[ins.c];
-        if (fx.writes_dst || fx.reads_dst) ins.dst = rename[ins.dst];
+        const OpInfo& info = op_info(ins.op);
+        if (info.reads_a) ins.a = rename[ins.a];
+        if (info.reads_b) ins.b = rename[ins.b];
+        if (info.reads_c) ins.c = rename[ins.c];
+        if (info.writes_dst || info.reads_dst) ins.dst = rename[ins.dst];
         if (!same_instruction(ins, orig)) ++rewrites;
       }
     }

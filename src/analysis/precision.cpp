@@ -105,15 +105,6 @@ U128 isqrt_u128(U128 v) {
   return r;
 }
 
-bool writes_temp(Op op) {
-  switch (op) {
-    case Op::kStoreField:
-    case Op::kStoreReg:
-    case Op::kDigest: return false;
-    default: return true;
-  }
-}
-
 /// Implemented-value cap: the 64-bit machine word the target holds, even
 /// when the ideal-integer interval ran past 2^64.
 U128 impl_cap(const Interval& iv) { return std::min(iv.hi, kMax64); }
@@ -155,7 +146,7 @@ PrecFacts build_facts(const Program& p, const p4sim::RegisterFile& rf,
   for (const ApproxSpan& span : p.approx_spans) {
     const bool range_ok = span.begin < span.end && span.end <= p.code.size();
     const bool out_ok =
-        range_ok && writes_temp(p.code[span.end - 1].op) &&
+        range_ok && p4sim::op_info(p.code[span.end - 1].op).writes_dst &&
         p.code[span.end - 1].dst == span.out && span.out < p4sim::kTempCount &&
         span.in_a < p4sim::kTempCount && span.in_b < p4sim::kTempCount;
     if (!range_ok || !out_ok || span.rel_den == 0) {

@@ -770,13 +770,6 @@ void sym_execute_onto(const Program& program, Dag& dag, const SymEnv& env,
                       SymState& st) {
   std::vector<NodeId>& t = st.temps;
   for (const Instruction& ins : program.code) {
-    bool writes_temp = true;
-    switch (ins.op) {
-      case Op::kStoreField:
-      case Op::kStoreReg:
-      case Op::kDigest: writes_temp = false; break;
-      default: break;
-    }
     switch (ins.op) {
       case Op::kConst: t[ins.dst] = dag.constant(ins.imm); break;
       case Op::kParam:
@@ -857,8 +850,9 @@ void sym_execute_onto(const Program& program, Dag& dag, const SymEnv& env,
         break;
     }
     if (env.dst_bits != nullptr) {
-      env.dst_bits->push_back(writes_temp ? dag.node(t[ins.dst]).bits
-                                          : kAllOnes);
+      env.dst_bits->push_back(p4sim::op_info(ins.op).writes_dst
+                                  ? dag.node(t[ins.dst]).bits
+                                  : kAllOnes);
     }
   }
 }

@@ -13,6 +13,8 @@ using p4sim::FieldRef;
 using p4sim::Instruction;
 using p4sim::MatchKind;
 using p4sim::Op;
+using p4sim::OpInfo;
+using p4sim::OpShape;
 using p4sim::P4Switch;
 using p4sim::Program;
 using p4sim::TempId;
@@ -56,55 +58,17 @@ const char* p4_field(FieldRef f) {
 
 std::string tname(TempId id) { return "meta.t" + std::to_string(id); }
 
-/// Emits one instruction as a P4 statement (indented, newline-terminated).
-void emit_instruction(std::ostringstream& os, const P4Switch& sw,
-                      const Instruction& ins, bool annotate) {
+/// The statement for an op of OpShape::kSpecial (immediates, state and
+/// externs), which each target spells by hand.
+void emit_special(std::ostringstream& os, const P4Switch& sw,
+                  const Instruction& ins) {
   const auto t = tname;
-  os << "        ";
-  const auto bin = [&](const char* op) {
-    os << t(ins.dst) << " = " << t(ins.a) << ' ' << op << ' ' << t(ins.b)
-       << ';';
-  };
-  const auto cmp = [&](const char* op) {
-    os << t(ins.dst) << " = (" << t(ins.a) << ' ' << op << ' ' << t(ins.b)
-       << ") ? 64w1 : 64w0;";
-  };
   switch (ins.op) {
     case Op::kConst:
       os << t(ins.dst) << " = 64w" << ins.imm << ';';
       break;
     case Op::kParam:
       os << t(ins.dst) << " = p" << ins.imm << ';';
-      break;
-    case Op::kMov:
-      os << t(ins.dst) << " = " << t(ins.a) << ';';
-      break;
-    case Op::kAdd: bin("+"); break;
-    case Op::kSub: bin("-"); break;
-    case Op::kMul: bin("*"); break;
-    case Op::kShl:
-      os << t(ins.dst) << " = " << t(ins.a) << " << (bit<8>)(" << t(ins.b)
-         << " & 63);";
-      break;
-    case Op::kShr:
-      os << t(ins.dst) << " = " << t(ins.a) << " >> (bit<8>)(" << t(ins.b)
-         << " & 63);";
-      break;
-    case Op::kAnd: bin("&"); break;
-    case Op::kOr: bin("|"); break;
-    case Op::kXor: bin("^"); break;
-    case Op::kNot:
-      os << t(ins.dst) << " = ~" << t(ins.a) << ';';
-      break;
-    case Op::kEq: cmp("=="); break;
-    case Op::kNe: cmp("!="); break;
-    case Op::kLt: cmp("<"); break;
-    case Op::kGt: cmp(">"); break;
-    case Op::kLe: cmp("<="); break;
-    case Op::kGe: cmp(">="); break;
-    case Op::kSelect:
-      os << t(ins.dst) << " = (" << t(ins.a) << " != 0) ? " << t(ins.b)
-         << " : " << t(ins.c) << ';';
       break;
     case Op::kLoadField:
       os << t(ins.dst) << " = (bit<64>)" << p4_field(ins.field) << ';';
@@ -139,6 +103,40 @@ void emit_instruction(std::ostringstream& os, const P4Switch& sw,
       os << "if (" << t(ins.c) << " != 0) { digest<stat4_alert_t>(1, { 32w"
          << ins.imm << ", " << t(ins.a) << ", " << t(ins.b) << ", "
          << t(ins.dst) << " }); }";
+      break;
+    default:
+      break;
+  }
+}
+
+/// Emits one instruction as a P4 statement (indented, newline-terminated).
+void emit_instruction(std::ostringstream& os, const P4Switch& sw,
+                      const Instruction& ins, bool annotate) {
+  const auto t = tname;
+  os << "        ";
+  const OpInfo& info = p4sim::op_info(ins.op);
+  switch (info.shape) {
+    case OpShape::kBinary:
+      os << t(ins.dst) << " = " << t(ins.a) << ' ' << info.symbol << ' '
+         << t(ins.b) << ';';
+      break;
+    case OpShape::kShift:
+      os << t(ins.dst) << " = " << t(ins.a) << ' ' << info.symbol
+         << " (bit<8>)(" << t(ins.b) << " & 63);";
+      break;
+    case OpShape::kCompare:
+      os << t(ins.dst) << " = (" << t(ins.a) << ' ' << info.symbol << ' '
+         << t(ins.b) << ") ? 64w1 : 64w0;";
+      break;
+    case OpShape::kUnary:
+      os << t(ins.dst) << " = " << info.symbol << t(ins.a) << ';';
+      break;
+    case OpShape::kSelect:
+      os << t(ins.dst) << " = (" << t(ins.a) << " != 0) ? " << t(ins.b)
+         << " : " << t(ins.c) << ';';
+      break;
+    case OpShape::kSpecial:
+      emit_special(os, sw, ins);
       break;
   }
   if (annotate) {

@@ -5,7 +5,8 @@
 // ternary select — and nothing else.  There is NO division, NO modulo, NO
 // square root, NO floating point, and NO loop: a program is a fixed vector
 // of instructions executed exactly once per packet, like a P4 action body /
-// sequence of pipeline ALU operations.
+// sequence of pipeline ALU operations.  The opcodes, their operand slots
+// and their pure semantics are defined once, in op_table.hpp.
 //
 // Multiplication exists as an opcode because bmv2 supports it, but hardware
 // profiles (AluProfile) can forbid it — "some hardware switches do not
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "p4sim/op_table.hpp"
 #include "p4sim/parser.hpp"
 #include "p4sim/register_file.hpp"
 
@@ -29,36 +31,6 @@ using TempId = std::uint16_t;
 
 /// Number of per-packet scratch words (PHV/metadata containers).
 inline constexpr std::size_t kTempCount = 2048;
-
-enum class Op : std::uint8_t {
-  kConst,       // dst = imm
-  kParam,       // dst = action_data[imm]         (table-entry action data)
-  kMov,         // dst = t[a]
-  kAdd,         // dst = t[a] + t[b]              (wraps, like P4 bit<W>)
-  kSub,         // dst = t[a] - t[b]
-  kMul,         // dst = t[a] * t[b]              (profile-gated)
-  kShl,         // dst = t[a] << (t[b] & 63)
-  kShr,         // dst = t[a] >> (t[b] & 63)
-  kAnd,         // dst = t[a] & t[b]
-  kOr,          // dst = t[a] | t[b]
-  kXor,         // dst = t[a] ^ t[b]
-  kNot,         // dst = ~t[a]
-  kEq,          // dst = t[a] == t[b]
-  kNe,          // dst = t[a] != t[b]
-  kLt,          // dst = t[a] <  t[b]  (unsigned)
-  kGt,          // dst = t[a] >  t[b]  (unsigned)
-  kLe,          // dst = t[a] <= t[b]  (unsigned)
-  kGe,          // dst = t[a] >= t[b]  (unsigned)
-  kSelect,      // dst = t[a] ? t[b] : t[c]
-  kLoadField,   // dst = packet field
-  kStoreField,  // packet field = t[a]
-  kLoadReg,     // dst = reg[reg_id][ t[a] ]
-  kStoreReg,    // reg[reg_id][ t[a] ] = t[b]
-  kHash1,       // dst = hash_1(t[a])   (hash extern, like P4's crc32/crc64)
-  kHash2,       // dst = hash_2(t[a])   (an independent second hash extern)
-  kDigest,      // if (t[c] != 0) emit digest{ id=imm,
-                //                            payload=[t[a], t[b], t[dst]] }
-};
 
 struct Instruction {
   Op op = Op::kConst;
@@ -140,11 +112,9 @@ struct ExecutionContext {
 /// Runs the program to completion (no branches, no loops: O(|code|)).
 void execute(const Program& program, ExecutionContext& ctx);
 
-/// Temps `ins` reads / writes, appended to the vectors.  Mirrors execute()
-/// exactly — in particular kDigest READS dst (third payload word) and the
-/// store ops write no temp at all.  Shared by the scratch-zeroing analysis
-/// (switch.cpp) and the native-tier transpiler so their liveness views can
-/// never drift.
+/// Temps `ins` reads (slot order a, b, c, dst) / writes, appended to the
+/// vectors, as kOpTable declares them — in particular kDigest READS dst
+/// (third payload word) and the store ops write no temp at all.
 void instruction_temps(const Instruction& ins, std::vector<TempId>& reads,
                        std::vector<TempId>& writes);
 

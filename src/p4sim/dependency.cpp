@@ -8,43 +8,6 @@ namespace p4sim {
 
 namespace {
 
-/// Which temps an instruction reads.
-std::vector<TempId> reads_of(const Instruction& ins) {
-  switch (ins.op) {
-    case Op::kConst:
-    case Op::kParam:
-    case Op::kLoadField:
-      return {};
-    case Op::kMov:
-    case Op::kNot:
-    case Op::kStoreField:
-    case Op::kHash1:
-    case Op::kHash2:
-      return {ins.a};
-    case Op::kLoadReg:
-      return {ins.a};
-    case Op::kStoreReg:
-      return {ins.a, ins.b};
-    case Op::kSelect:
-      return {ins.a, ins.b, ins.c};
-    case Op::kDigest:
-      return {ins.a, ins.b, ins.c, ins.dst};
-    default:
-      return {ins.a, ins.b};
-  }
-}
-
-bool writes_temp(const Instruction& ins) {
-  switch (ins.op) {
-    case Op::kStoreField:
-    case Op::kStoreReg:
-    case Op::kDigest:
-      return false;
-    default:
-      return true;
-  }
-}
-
 /// Which packet fields a program writes (for match dependencies).
 std::set<FieldRef> fields_written(const Program& p) {
   std::set<FieldRef> out;
@@ -74,22 +37,28 @@ ProgramAnalysis analyze_program(const Program& program) {
   std::vector<std::size_t> depth(program.code.size(), 1);
   std::map<TempId, std::size_t> temp_def_depth;
   std::map<RegisterId, std::size_t> reg_access_depth;
+  std::vector<TempId> reads;
+  std::vector<TempId> writes;
 
   for (std::size_t i = 0; i < program.code.size(); ++i) {
     const Instruction& ins = program.code[i];
+    const OpInfo& info = op_info(ins.op);
     std::size_t d = 1;
-    for (const TempId r : reads_of(ins)) {
+    reads.clear();
+    writes.clear();
+    instruction_temps(ins, reads, writes);
+    for (const TempId r : reads) {
       const auto it = temp_def_depth.find(r);
       if (it != temp_def_depth.end()) d = std::max(d, it->second + 1);
     }
-    if (ins.op == Op::kLoadReg || ins.op == Op::kStoreReg) {
+    if (info.effect == OpEffect::kRegister) {
       const auto it = reg_access_depth.find(ins.reg);
       if (it != reg_access_depth.end()) d = std::max(d, it->second + 1);
       ++(ins.op == Op::kLoadReg ? a.register_reads : a.register_writes);
       reg_access_depth[ins.reg] = d;
     }
     if (ins.op == Op::kMul) a.uses_mul = true;
-    if (writes_temp(ins)) temp_def_depth[ins.dst] = d;
+    if (info.writes_dst) temp_def_depth[ins.dst] = d;
     depth[i] = d;
     a.longest_chain = std::max(a.longest_chain, d);
   }

@@ -34,38 +34,6 @@ const char* field_name(FieldRef f) noexcept {
   return "?";
 }
 
-const char* op_name(Op op) noexcept {
-  switch (op) {
-    case Op::kConst: return "const";
-    case Op::kParam: return "param";
-    case Op::kMov: return "mov";
-    case Op::kAdd: return "add";
-    case Op::kSub: return "sub";
-    case Op::kMul: return "mul";
-    case Op::kShl: return "shl";
-    case Op::kShr: return "shr";
-    case Op::kAnd: return "and";
-    case Op::kOr: return "or";
-    case Op::kXor: return "xor";
-    case Op::kNot: return "not";
-    case Op::kEq: return "eq";
-    case Op::kNe: return "ne";
-    case Op::kLt: return "lt";
-    case Op::kGt: return "gt";
-    case Op::kLe: return "le";
-    case Op::kGe: return "ge";
-    case Op::kSelect: return "select";
-    case Op::kLoadField: return "load_field";
-    case Op::kStoreField: return "store_field";
-    case Op::kLoadReg: return "load_reg";
-    case Op::kStoreReg: return "store_reg";
-    case Op::kHash1: return "hash1";
-    case Op::kHash2: return "hash2";
-    case Op::kDigest: return "digest";
-  }
-  return "?";
-}
-
 namespace {
 
 std::string reg_name(RegisterId id, const RegisterFile* registers) {
@@ -75,35 +43,29 @@ std::string reg_name(RegisterId id, const RegisterFile* registers) {
   return "reg" + std::to_string(id);
 }
 
-const char* infix(Op op) {
-  switch (op) {
-    case Op::kAdd: return "+";
-    case Op::kSub: return "-";
-    case Op::kMul: return "*";
-    case Op::kShl: return "<<";
-    case Op::kShr: return ">>";
-    case Op::kAnd: return "&";
-    case Op::kOr: return "|";
-    case Op::kXor: return "^";
-    case Op::kEq: return "==";
-    case Op::kNe: return "!=";
-    case Op::kLt: return "<";
-    case Op::kGt: return ">";
-    case Op::kLe: return "<=";
-    case Op::kGe: return ">=";
-    default: return nullptr;
-  }
-}
-
 }  // namespace
 
 std::string to_string(const Instruction& ins, const RegisterFile* registers) {
   std::ostringstream os;
   const auto t = [](TempId id) { return "t" + std::to_string(id); };
 
-  if (const char* sym = infix(ins.op)) {
-    os << t(ins.dst) << " = " << t(ins.a) << ' ' << sym << ' ' << t(ins.b);
-    return os.str();
+  const OpInfo& info = op_info(ins.op);
+  switch (info.shape) {
+    case OpShape::kBinary:
+    case OpShape::kShift:
+    case OpShape::kCompare:
+      os << t(ins.dst) << " = " << t(ins.a) << ' ' << info.symbol << ' '
+         << t(ins.b);
+      return os.str();
+    case OpShape::kUnary:
+      os << t(ins.dst) << " = " << info.symbol << t(ins.a);
+      return os.str();
+    case OpShape::kSelect:
+      os << t(ins.dst) << " = " << t(ins.a) << " ? " << t(ins.b) << " : "
+         << t(ins.c);
+      return os.str();
+    case OpShape::kSpecial:
+      break;
   }
   switch (ins.op) {
     case Op::kConst:
@@ -111,16 +73,6 @@ std::string to_string(const Instruction& ins, const RegisterFile* registers) {
       break;
     case Op::kParam:
       os << t(ins.dst) << " = action_data[" << ins.imm << ']';
-      break;
-    case Op::kMov:
-      os << t(ins.dst) << " = " << t(ins.a);
-      break;
-    case Op::kNot:
-      os << t(ins.dst) << " = ~" << t(ins.a);
-      break;
-    case Op::kSelect:
-      os << t(ins.dst) << " = " << t(ins.a) << " ? " << t(ins.b) << " : "
-         << t(ins.c);
       break;
     case Op::kLoadField:
       os << t(ins.dst) << " = " << field_name(ins.field);
@@ -136,18 +88,12 @@ std::string to_string(const Instruction& ins, const RegisterFile* registers) {
       os << reg_name(ins.reg, registers) << '[' << t(ins.a)
          << "] := " << t(ins.b);
       break;
-    case Op::kHash1:
-      os << t(ins.dst) << " = hash1(" << t(ins.a) << ')';
-      break;
-    case Op::kHash2:
-      os << t(ins.dst) << " = hash2(" << t(ins.a) << ')';
-      break;
     case Op::kDigest:
       os << "digest#" << ins.imm << '(' << t(ins.a) << ", " << t(ins.b)
          << ", " << t(ins.dst) << ") if " << t(ins.c);
       break;
-    default:
-      os << op_name(ins.op);
+    default:  // the hash externs
+      os << t(ins.dst) << " = " << info.name << '(' << t(ins.a) << ')';
       break;
   }
   return os.str();

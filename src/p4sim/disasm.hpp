@@ -29,7 +29,4 @@ namespace p4sim {
 /// Name of a field (e.g. "ipv4.dst") for diagnostics.
 [[nodiscard]] const char* field_name(FieldRef f) noexcept;
 
-/// Name of an opcode (e.g. "add").
-[[nodiscard]] const char* op_name(Op op) noexcept;
-
 }  // namespace p4sim

@@ -25,28 +25,23 @@ std::string emit_instruction(const Instruction& ins,
     return std::to_string(static_cast<std::uint32_t>(ins.field)) + "u";
   };
   const auto reg = [&] { return std::to_string(ins.reg); };
+  const OpInfo& info = op_info(ins.op);
+  switch (info.shape) {
+    case OpShape::kBinary:
+      return d + " = " + a + " " + info.symbol + " " + b + ";";
+    case OpShape::kShift:
+      return d + " = " + a + " " + info.symbol + " (" + b + " & 63u);";
+    case OpShape::kCompare:
+      return d + " = (" + a + " " + info.symbol + " " + b + ") ? 1ull : 0ull;";
+    case OpShape::kUnary: return d + " = " + info.symbol + a + ";";
+    case OpShape::kSelect: return d + " = " + a + " ? " + b + " : " + c + ";";
+    case OpShape::kSpecial: break;
+  }
   switch (ins.op) {
     case Op::kConst: return d + " = " + u64_lit(ins.imm) + ";";
     case Op::kParam:
       return d + " = (" + u64_lit(ins.imm) + " < c->action_data_len) ? " +
              "c->action_data[" + std::to_string(ins.imm) + "] : 0ull;";
-    case Op::kMov: return d + " = " + a + ";";
-    case Op::kAdd: return d + " = " + a + " + " + b + ";";
-    case Op::kSub: return d + " = " + a + " - " + b + ";";
-    case Op::kMul: return d + " = " + a + " * " + b + ";";
-    case Op::kShl: return d + " = " + a + " << (" + b + " & 63u);";
-    case Op::kShr: return d + " = " + a + " >> (" + b + " & 63u);";
-    case Op::kAnd: return d + " = " + a + " & " + b + ";";
-    case Op::kOr: return d + " = " + a + " | " + b + ";";
-    case Op::kXor: return d + " = " + a + " ^ " + b + ";";
-    case Op::kNot: return d + " = ~" + a + ";";
-    case Op::kEq: return d + " = (" + a + " == " + b + ") ? 1ull : 0ull;";
-    case Op::kNe: return d + " = (" + a + " != " + b + ") ? 1ull : 0ull;";
-    case Op::kLt: return d + " = (" + a + " < " + b + ") ? 1ull : 0ull;";
-    case Op::kGt: return d + " = (" + a + " > " + b + ") ? 1ull : 0ull;";
-    case Op::kLe: return d + " = (" + a + " <= " + b + ") ? 1ull : 0ull;";
-    case Op::kGe: return d + " = (" + a + " >= " + b + ") ? 1ull : 0ull;";
-    case Op::kSelect: return d + " = " + a + " ? " + b + " : " + c + ";";
     case Op::kLoadField:
       return d + " = c->load_field(c->view, " + field_id() + ");";
     case Op::kStoreField:
@@ -54,27 +49,28 @@ std::string emit_instruction(const Instruction& ins,
     case Op::kLoadReg: {
       // Bounds and base resolved against the declared array; the size is a
       // literal (arrays never resize), the base pointer stays dynamic.
-      const auto& info = registers.info(ins.reg);
-      return "{ u64 i = " + a + "; " + d + " = (i < " + u64_lit(info.size) +
+      const auto& arr = registers.info(ins.reg);
+      return "{ u64 i = " + a + "; " + d + " = (i < " + u64_lit(arr.size) +
              ") ? c->regs[" + reg() + "].base[i] : 0ull; }";
     }
     case Op::kStoreReg: {
-      const auto& info = registers.info(ins.reg);
-      const Word mask = info.width_bits == 64
+      const auto& arr = registers.info(ins.reg);
+      const Word mask = arr.width_bits == 64
                             ? ~Word{0}
-                            : ((Word{1} << info.width_bits) - 1);
-      return "{ u64 i = " + a + "; if (i < " + u64_lit(info.size) +
+                            : ((Word{1} << arr.width_bits) - 1);
+      return "{ u64 i = " + a + "; if (i < " + u64_lit(arr.size) +
              ") c->regs[" + reg() + "].base[i] = " + b + " & " +
              u64_lit(mask) + "; }";
     }
-    case Op::kHash1: return d + " = stat4_jit_hash1(" + a + ");";
-    case Op::kHash2: return d + " = stat4_jit_hash2(" + a + ");";
+    case Op::kHash1:
+    case Op::kHash2:
+      return d + " = stat4_jit_" + info.name + "(" + a + ");";
     case Op::kDigest:
       return "if (" + c + " != 0ull) c->emit_digest(c->digest_sink, " +
              std::to_string(static_cast<std::uint32_t>(ins.imm)) + "u, " + a +
              ", " + b + ", " + d + ");";
+    default: return ";";
   }
-  return ";";
 }
 
 /// Emits one action as a function over tN locals.  Temps cross the

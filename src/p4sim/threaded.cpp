@@ -4,14 +4,6 @@
 
 #include "stat4/sparse_freq.hpp"
 
-// Computed-goto dispatch needs GNU labels-as-values; MSVC and friends run
-// the same op stream through the switch loop below.
-#if defined(__GNUC__) || defined(__clang__)
-#define STAT4_THREADED_COMPUTED_GOTO 1
-#else
-#define STAT4_THREADED_COMPUTED_GOTO 0
-#endif
-
 namespace p4sim {
 namespace {
 
@@ -108,7 +100,8 @@ inline constexpr std::size_t kHandlerCount = kOpEnd + 1;
 
 static_assert(static_cast<std::uint8_t>(Op::kConst) == kOpConst &&
                   static_cast<std::uint8_t>(Op::kSelect) == kOpSelect &&
-                  static_cast<std::uint8_t>(Op::kDigest) == kOpDigest,
+                  static_cast<std::uint8_t>(Op::kDigest) == kOpDigest &&
+                  kOpLoadRegDyn == kOpCount,
               "InternalOp prefix must mirror Op ordinal for ordinal cast");
 
 void emit_digest(ThreadedState* st, const ThreadedOp* op) {
@@ -119,15 +112,14 @@ void emit_digest(ThreadedState* st, const ThreadedOp* op) {
   st->digests->push_back(d);
 }
 
-#if STAT4_THREADED_COMPUTED_GOTO
-// Taking the address of a label is a GNU extension; the repo builds with
-// -Wpedantic -Werror, so the extension is acknowledged explicitly here.
+// Taking the address of a label is a GNU extension (GCC and Clang, the
+// only compilers the build supports); the repo builds with -Wpedantic
+// -Werror, so the extension is acknowledged explicitly here.
 #pragma GCC diagnostic push
 #if defined(__clang__)
 #pragma GCC diagnostic ignored "-Wgnu-label-as-value"
 #else
 #pragma GCC diagnostic ignored "-Wpedantic"
-#endif
 #endif
 
 /// Executes the op stream at `op` over `st`.  Called with st == nullptr it
@@ -135,7 +127,6 @@ void emit_digest(ThreadedState* st, const ThreadedOp* op) {
 /// to read function-local label addresses) — threaded_compile uses that to
 /// pre-resolve each op's handler.
 const void* const* threaded_core(const ThreadedOp* op, ThreadedState* st) {
-#if STAT4_THREADED_COMPUTED_GOTO
   static const void* const kLabels[kHandlerCount] = {
       &&l_const,      &&l_param,      &&l_mov,         &&l_add,
       &&l_sub,        &&l_mul,        &&l_shl,         &&l_shr,
@@ -381,167 +372,17 @@ l_ge_imm_sel_imm_c:
 l_end:
   return nullptr;
 #undef STAT4_THREADED_NEXT
-#else   // !STAT4_THREADED_COMPUTED_GOTO: portable switch loop
-  if (st == nullptr) return nullptr;
-  Word* const t = st->temps;
-  for (;; ++op) {
-    switch (static_cast<InternalOp>(op->opcode)) {
-      case kOpConst: t[op->dst] = op->imm; break;
-      case kOpParam:
-        t[op->dst] =
-            op->imm < st->action_data_len ? st->action_data[op->imm] : 0;
-        break;
-      case kOpMov: t[op->dst] = t[op->a]; break;
-      case kOpAdd: t[op->dst] = t[op->a] + t[op->b]; break;
-      case kOpSub: t[op->dst] = t[op->a] - t[op->b]; break;
-      case kOpMul: t[op->dst] = t[op->a] * t[op->b]; break;
-      case kOpShl: t[op->dst] = t[op->a] << (t[op->b] & 63); break;
-      case kOpShr: t[op->dst] = t[op->a] >> (t[op->b] & 63); break;
-      case kOpAnd: t[op->dst] = t[op->a] & t[op->b]; break;
-      case kOpOr: t[op->dst] = t[op->a] | t[op->b]; break;
-      case kOpXor: t[op->dst] = t[op->a] ^ t[op->b]; break;
-      case kOpNot: t[op->dst] = ~t[op->a]; break;
-      case kOpEq: t[op->dst] = t[op->a] == t[op->b] ? 1 : 0; break;
-      case kOpNe: t[op->dst] = t[op->a] != t[op->b] ? 1 : 0; break;
-      case kOpLt: t[op->dst] = t[op->a] < t[op->b] ? 1 : 0; break;
-      case kOpGt: t[op->dst] = t[op->a] > t[op->b] ? 1 : 0; break;
-      case kOpLe: t[op->dst] = t[op->a] <= t[op->b] ? 1 : 0; break;
-      case kOpGe: t[op->dst] = t[op->a] >= t[op->b] ? 1 : 0; break;
-      case kOpSelect: t[op->dst] = t[op->a] ? t[op->b] : t[op->c]; break;
-      case kOpLoadField: t[op->dst] = st->view->get(op->field); break;
-      case kOpStoreField: st->view->set(op->field, t[op->a]); break;
-      case kOpLoadReg: {
-        const Word idx = t[op->a];
-        t[op->dst] = idx < op->reg_size ? op->reg_base[idx] : 0;
-        break;
-      }
-      case kOpStoreReg: {
-        const Word idx = t[op->a];
-        if (idx < op->reg_size) op->reg_base[idx] = t[op->b] & op->reg_mask;
-        break;
-      }
-      case kOpHash1: t[op->dst] = stat4::sparse_hash1(t[op->a]); break;
-      case kOpHash2: t[op->dst] = stat4::sparse_hash2(t[op->a]); break;
-      case kOpDigest:
-        if (st->digests != nullptr && t[op->c] != 0) emit_digest(st, op);
-        break;
-      case kOpLoadRegDyn:
-        t[op->dst] = st->registers->read(op->reg, t[op->a]);
-        break;
-      case kOpStoreRegDyn:
-        st->registers->write(op->reg, t[op->a], t[op->b]);
-        break;
-      case kOpAddImm: t[op->dst] = t[op->a] + op->imm; break;
-      case kOpSubImm: t[op->dst] = t[op->a] - op->imm; break;
-      case kOpRsubImm: t[op->dst] = op->imm - t[op->a]; break;
-      case kOpMulImm: t[op->dst] = t[op->a] * op->imm; break;
-      case kOpShlImm: t[op->dst] = t[op->a] << op->imm; break;
-      case kOpShrImm: t[op->dst] = t[op->a] >> op->imm; break;
-      case kOpAndImm: t[op->dst] = t[op->a] & op->imm; break;
-      case kOpOrImm: t[op->dst] = t[op->a] | op->imm; break;
-      case kOpXorImm: t[op->dst] = t[op->a] ^ op->imm; break;
-      case kOpEqImm: t[op->dst] = t[op->a] == op->imm ? 1 : 0; break;
-      case kOpNeImm: t[op->dst] = t[op->a] != op->imm ? 1 : 0; break;
-      case kOpLtImm: t[op->dst] = t[op->a] < op->imm ? 1 : 0; break;
-      case kOpGtImm: t[op->dst] = t[op->a] > op->imm ? 1 : 0; break;
-      case kOpLeImm: t[op->dst] = t[op->a] <= op->imm ? 1 : 0; break;
-      case kOpGeImm: t[op->dst] = t[op->a] >= op->imm ? 1 : 0; break;
-      case kOpLoadRegAt: t[op->dst] = *op->reg_base; break;
-      case kOpStoreRegAt: *op->reg_base = t[op->b] & op->reg_mask; break;
-      case kOpEqSel:
-        t[op->dst] = t[op->a] == t[op->b] ? t[op->c] : t[op->e];
-        break;
-      case kOpNeSel:
-        t[op->dst] = t[op->a] != t[op->b] ? t[op->c] : t[op->e];
-        break;
-      case kOpLtSel:
-        t[op->dst] = t[op->a] < t[op->b] ? t[op->c] : t[op->e];
-        break;
-      case kOpGtSel:
-        t[op->dst] = t[op->a] > t[op->b] ? t[op->c] : t[op->e];
-        break;
-      case kOpLeSel:
-        t[op->dst] = t[op->a] <= t[op->b] ? t[op->c] : t[op->e];
-        break;
-      case kOpGeSel:
-        t[op->dst] = t[op->a] >= t[op->b] ? t[op->c] : t[op->e];
-        break;
-      case kOpEqImmSel:
-        t[op->dst] = t[op->a] == op->imm ? t[op->c] : t[op->e];
-        break;
-      case kOpNeImmSel:
-        t[op->dst] = t[op->a] != op->imm ? t[op->c] : t[op->e];
-        break;
-      case kOpLtImmSel:
-        t[op->dst] = t[op->a] < op->imm ? t[op->c] : t[op->e];
-        break;
-      case kOpGtImmSel:
-        t[op->dst] = t[op->a] > op->imm ? t[op->c] : t[op->e];
-        break;
-      case kOpLeImmSel:
-        t[op->dst] = t[op->a] <= op->imm ? t[op->c] : t[op->e];
-        break;
-      case kOpGeImmSel:
-        t[op->dst] = t[op->a] >= op->imm ? t[op->c] : t[op->e];
-        break;
-      case kOpSelImmB:
-        t[op->dst] = t[op->a] ? op->imm : t[op->c];
-        break;
-      case kOpSelImmC:
-        t[op->dst] = t[op->a] ? t[op->b] : op->imm;
-        break;
-      case kOpEqImmSelImmB:
-        t[op->dst] = t[op->a] == op->imm ? op->reg_mask : t[op->c];
-        break;
-      case kOpNeImmSelImmB:
-        t[op->dst] = t[op->a] != op->imm ? op->reg_mask : t[op->c];
-        break;
-      case kOpLtImmSelImmB:
-        t[op->dst] = t[op->a] < op->imm ? op->reg_mask : t[op->c];
-        break;
-      case kOpGtImmSelImmB:
-        t[op->dst] = t[op->a] > op->imm ? op->reg_mask : t[op->c];
-        break;
-      case kOpLeImmSelImmB:
-        t[op->dst] = t[op->a] <= op->imm ? op->reg_mask : t[op->c];
-        break;
-      case kOpGeImmSelImmB:
-        t[op->dst] = t[op->a] >= op->imm ? op->reg_mask : t[op->c];
-        break;
-      case kOpEqImmSelImmC:
-        t[op->dst] = t[op->a] == op->imm ? t[op->b] : op->reg_mask;
-        break;
-      case kOpNeImmSelImmC:
-        t[op->dst] = t[op->a] != op->imm ? t[op->b] : op->reg_mask;
-        break;
-      case kOpLtImmSelImmC:
-        t[op->dst] = t[op->a] < op->imm ? t[op->b] : op->reg_mask;
-        break;
-      case kOpGtImmSelImmC:
-        t[op->dst] = t[op->a] > op->imm ? t[op->b] : op->reg_mask;
-        break;
-      case kOpLeImmSelImmC:
-        t[op->dst] = t[op->a] <= op->imm ? t[op->b] : op->reg_mask;
-        break;
-      case kOpGeImmSelImmC:
-        t[op->dst] = t[op->a] >= op->imm ? t[op->b] : op->reg_mask;
-        break;
-      case kOpEnd: return nullptr;
-    }
-  }
-#endif  // STAT4_THREADED_COMPUTED_GOTO
 }
 
-#if STAT4_THREADED_COMPUTED_GOTO
 #pragma GCC diagnostic pop
-#endif
 
 // ---------------------------------------------------------------- optimizer
 
 /// Read/write model of one lowered op — the optimizer's mirror of the
 /// handler bodies above.  `pure` means "no effect beyond writing dst":
 /// store/digest ops and the dynamic-register forms (which can throw) must
-/// never be eliminated.
+/// never be eliminated.  The ops that mirror an Op take both from kOpTable
+/// (their register accesses are pre-bound to a window, so cannot throw).
 struct OpIO {
   std::array<TempId, 4> reads{};
   std::size_t nreads = 0;
@@ -552,18 +393,19 @@ struct OpIO {
 OpIO op_io(const ThreadedOp& op) {
   OpIO io;
   const auto r = [&io](TempId id) { io.reads[io.nreads++] = id; };
+  if (op.opcode < kOpCount) {
+    const OpInfo& info = op_info(static_cast<Op>(op.opcode));
+    if (info.reads_a) r(op.a);
+    if (info.reads_b) r(op.b);
+    if (info.reads_c) r(op.c);
+    if (info.reads_dst) r(op.dst);
+    io.writes = io.pure = info.writes_dst;
+    return io;
+  }
   switch (static_cast<InternalOp>(op.opcode)) {
-    case kOpConst:
-    case kOpParam:
-    case kOpLoadField:
     case kOpLoadRegAt:
       io.writes = io.pure = true;
       break;
-    case kOpMov:
-    case kOpNot:
-    case kOpHash1:
-    case kOpHash2:
-    case kOpLoadReg:
     case kOpAddImm:
     case kOpSubImm:
     case kOpRsubImm:
@@ -582,20 +424,6 @@ OpIO op_io(const ThreadedOp& op) {
       io.writes = io.pure = true;
       r(op.a);
       break;
-    case kOpAdd:
-    case kOpSub:
-    case kOpMul:
-    case kOpShl:
-    case kOpShr:
-    case kOpAnd:
-    case kOpOr:
-    case kOpXor:
-    case kOpEq:
-    case kOpNe:
-    case kOpLt:
-    case kOpGt:
-    case kOpLe:
-    case kOpGe:
     case kOpSelImmC:
     case kOpEqImmSelImmC:
     case kOpNeImmSelImmC:
@@ -616,12 +444,6 @@ OpIO op_io(const ThreadedOp& op) {
     case kOpGeImmSelImmB:
       io.writes = io.pure = true;
       r(op.a);
-      r(op.c);
-      break;
-    case kOpSelect:
-      io.writes = io.pure = true;
-      r(op.a);
-      r(op.b);
       r(op.c);
       break;
     case kOpEqImmSel:
@@ -647,10 +469,6 @@ OpIO op_io(const ThreadedOp& op) {
       r(op.c);
       r(op.e);
       break;
-    case kOpStoreField:
-      r(op.a);
-      break;
-    case kOpStoreReg:
     case kOpStoreRegDyn:
       r(op.a);
       r(op.b);
@@ -662,13 +480,7 @@ OpIO op_io(const ThreadedOp& op) {
       io.writes = true;
       r(op.a);
       break;
-    case kOpDigest:
-      r(op.a);
-      r(op.b);
-      r(op.c);
-      r(op.dst);
-      break;
-    case kOpEnd:
+    default:  // kOpEnd
       break;
   }
   return io;
@@ -727,27 +539,6 @@ void for_each_read(ThreadedOp& op, F&& f) {
       if (--left == 0) return;
       f(op.e);
       return;
-  }
-}
-
-/// Interpreter-exact evaluation of a two-operand ALU op over known values.
-Word fold_binary(Op op, Word a, Word b) {
-  switch (op) {
-    case Op::kAdd: return a + b;
-    case Op::kSub: return a - b;
-    case Op::kMul: return a * b;
-    case Op::kShl: return a << (b & 63);
-    case Op::kShr: return a >> (b & 63);
-    case Op::kAnd: return a & b;
-    case Op::kOr: return a | b;
-    case Op::kXor: return a ^ b;
-    case Op::kEq: return a == b ? 1 : 0;
-    case Op::kNe: return a != b ? 1 : 0;
-    case Op::kLt: return a < b ? 1 : 0;
-    case Op::kGt: return a > b ? 1 : 0;
-    case Op::kLe: return a <= b ? 1 : 0;
-    case Op::kGe: return a >= b ? 1 : 0;
-    default: return 0;
   }
 }
 
@@ -852,10 +643,9 @@ ThreadedProgram threaded_compile(const Program& program,
   // ---- pass 1: lower + straight-line constant propagation ----------------
   // Straight-line code makes the dataflow exact: a temp holds a known value
   // from the op that wrote it until the next op that overwrites it.  Every
-  // fold evaluates with the interpreter's own semantics (wrapping u64,
-  // shift-count masking, the real hash externs), so optimization can never
-  // change results — the differential suites replay every catalog app to
-  // prove it.
+  // fold calls p4sim::eval, the evaluator the interpreter itself runs, so
+  // optimization can never change results — the differential suites replay
+  // every catalog app to prove it.
   std::vector<ThreadedOp> ops;
   ops.reserve(program.code.size() + 1);
   std::vector<char> known(kTempCount, 0);
@@ -877,50 +667,17 @@ ThreadedProgram threaded_compile(const Program& program,
     op.reg = ins.reg;
     op.imm = ins.imm;
 
+    const OpInfo& info = op_info(ins.op);
+    if (info.pure() && (!info.reads_a || known[ins.a]) &&
+        (!info.reads_b || known[ins.b]) && (!info.reads_c || known[ins.c])) {
+      op.opcode = kOpConst;
+      op.imm = eval(ins.op, ins.imm, value[ins.a], value[ins.b], value[ins.c]);
+      set_known(ins.dst, op.imm);
+      ops.push_back(op);
+      continue;
+    }
+
     switch (ins.op) {
-      case Op::kConst:
-        set_known(ins.dst, ins.imm);
-        break;
-      case Op::kParam:
-      case Op::kLoadField:
-        clobber(ins.dst);
-        break;
-      case Op::kMov:
-        if (known[ins.a]) {
-          op.opcode = kOpConst;
-          op.imm = value[ins.a];
-          set_known(ins.dst, op.imm);
-        } else {
-          clobber(ins.dst);
-        }
-        break;
-      case Op::kNot:
-        if (known[ins.a]) {
-          op.opcode = kOpConst;
-          op.imm = ~value[ins.a];
-          set_known(ins.dst, op.imm);
-        } else {
-          clobber(ins.dst);
-        }
-        break;
-      case Op::kHash1:
-        if (known[ins.a]) {
-          op.opcode = kOpConst;
-          op.imm = stat4::sparse_hash1(value[ins.a]);
-          set_known(ins.dst, op.imm);
-        } else {
-          clobber(ins.dst);
-        }
-        break;
-      case Op::kHash2:
-        if (known[ins.a]) {
-          op.opcode = kOpConst;
-          op.imm = stat4::sparse_hash2(value[ins.a]);
-          set_known(ins.dst, op.imm);
-        } else {
-          clobber(ins.dst);
-        }
-        break;
       case Op::kSelect:
         if (known[ins.a]) {
           const TempId src = value[ins.a] != 0 ? ins.b : ins.c;
@@ -943,39 +700,6 @@ ThreadedProgram threaded_compile(const Program& program,
             op.opcode = kOpSelImmC;
             op.imm = value[ins.c];
           }
-          clobber(ins.dst);
-        }
-        break;
-      case Op::kAdd:
-      case Op::kSub:
-      case Op::kMul:
-      case Op::kShl:
-      case Op::kShr:
-      case Op::kAnd:
-      case Op::kOr:
-      case Op::kXor:
-      case Op::kEq:
-      case Op::kNe:
-      case Op::kLt:
-      case Op::kGt:
-      case Op::kLe:
-      case Op::kGe:
-        if (known[ins.a] && known[ins.b]) {
-          op.opcode = kOpConst;
-          op.imm = fold_binary(ins.op, value[ins.a], value[ins.b]);
-          set_known(ins.dst, op.imm);
-        } else if (known[ins.b] && imm_form(ins.op) != 0) {
-          op.opcode = imm_form(ins.op);
-          op.imm = (ins.op == Op::kShl || ins.op == Op::kShr)
-                       ? (value[ins.b] & 63)
-                       : value[ins.b];
-          clobber(ins.dst);
-        } else if (known[ins.a] && imm_form_swapped(ins.op) != 0) {
-          op.opcode = imm_form_swapped(ins.op);
-          op.a = ins.b;
-          op.imm = value[ins.a];
-          clobber(ins.dst);
-        } else {
           clobber(ins.dst);
         }
         break;
@@ -1019,6 +743,18 @@ ThreadedProgram threaded_compile(const Program& program,
             clobber(ins.dst);
           }
         }
+        break;
+      default:  // kParam, kLoadField, and pure ops with an unknown input
+        if (known[ins.b] && imm_form(ins.op) != 0) {
+          op.opcode = imm_form(ins.op);
+          op.imm = info.shape == OpShape::kShift ? (value[ins.b] & 63)
+                                                 : value[ins.b];
+        } else if (known[ins.a] && imm_form_swapped(ins.op) != 0) {
+          op.opcode = imm_form_swapped(ins.op);
+          op.a = ins.b;
+          op.imm = value[ins.a];
+        }
+        clobber(ins.dst);
         break;
     }
     ops.push_back(op);
@@ -1142,19 +878,13 @@ ThreadedProgram threaded_compile(const Program& program,
   ThreadedOp end;
   end.opcode = kOpEnd;
   out.ops.push_back(end);
-#if STAT4_THREADED_COMPUTED_GOTO
   const void* const* labels = threaded_core(nullptr, nullptr);
   for (ThreadedOp& op : out.ops) op.handler = labels[op.opcode];
-#endif
   return out;
 }
 
 void threaded_execute(const ThreadedProgram& program, ThreadedState& state) {
   threaded_core(program.ops.data(), &state);
-}
-
-bool threaded_uses_computed_goto() noexcept {
-  return STAT4_THREADED_COMPUTED_GOTO != 0;
 }
 
 }  // namespace p4sim

@@ -6,9 +6,8 @@
 // array's base pointer / bounds / width mask (RegisterFile::window), field
 // references and immediates sit in the op itself, and each op carries the
 // address of its handler so execution is a computed-goto chain
-// (GCC/Clang's labels-as-values) rather than a per-op switch.  On other
-// compilers the same op stream runs through a switch loop — identical
-// results, just slower dispatch.
+// (GCC/Clang's labels-as-values, which the build requires) rather than a
+// per-op switch.
 //
 // Semantics are bit-identical to action.cpp execute(): the differential
 // suites (tests/exec_tier_differential_test.cpp) replay every catalog app
@@ -28,8 +27,8 @@ namespace p4sim {
 /// One pre-decoded instruction.  16-byte-ish hot prefix (handler + packed
 /// operand ids) followed by the cold operands only some ops use.
 struct ThreadedOp {
-  const void* handler = nullptr;  ///< computed-goto label (GNU dispatch)
-  std::uint8_t opcode = 0;        ///< internal opcode (switch fallback)
+  const void* handler = nullptr;  ///< computed-goto label
+  std::uint8_t opcode = 0;        ///< internal opcode (lowering only)
   TempId dst = 0;
   TempId a = 0;
   TempId b = 0;
@@ -64,7 +63,7 @@ struct ThreadedState {
 
 /// Pre-decodes `program`, resolving register operands against `registers`,
 /// and optimizes the op stream: straight-line constant propagation and
-/// folding (exact interpreter semantics, including the hash externs),
+/// folding (through p4sim::eval, so including the hash externs),
 /// immediate-operand op variants, constant-index register accesses lowered
 /// to pre-resolved cell pointers, fused compare+select pairs, and dead-code
 /// elimination of pure ops whose result no installed action can observe.
@@ -79,9 +78,5 @@ struct ThreadedState {
 
 /// Runs a compiled program to completion.
 void threaded_execute(const ThreadedProgram& program, ThreadedState& state);
-
-/// Whether this build dispatches via computed goto (GCC/Clang) or the
-/// portable switch loop.
-[[nodiscard]] bool threaded_uses_computed_goto() noexcept;
 
 }  // namespace p4sim

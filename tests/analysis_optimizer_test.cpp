@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -47,18 +48,19 @@ void run(const Program& p, RegisterFile& rf,
 // ---- dataflow analyses ----------------------------------------------------
 
 TEST(Dataflow, DigestReadsItsPayloadSlots) {
-  const analysis::OpEffects& fx = analysis::op_effects(Op::kDigest);
-  EXPECT_TRUE(fx.reads_a);
-  EXPECT_TRUE(fx.reads_b);
-  EXPECT_TRUE(fx.reads_c);
-  EXPECT_TRUE(fx.reads_dst);  // payload word, not a definition
-  EXPECT_FALSE(fx.writes_dst);
-  EXPECT_TRUE(analysis::has_side_effect(Op::kDigest));
+  const p4sim::OpInfo& info = p4sim::op_info(Op::kDigest);
+  EXPECT_TRUE(info.reads_a);
+  EXPECT_TRUE(info.reads_b);
+  EXPECT_TRUE(info.reads_c);
+  EXPECT_TRUE(info.reads_dst);  // payload word, not a definition
+  EXPECT_FALSE(info.writes_dst);
+  EXPECT_EQ(info.effect, p4sim::OpEffect::kDigest);
 }
 
 TEST(Dataflow, ParamIsNotPure) {
-  EXPECT_FALSE(analysis::op_effects(Op::kParam).pure);
-  EXPECT_TRUE(analysis::op_effects(Op::kHash1).pure);
+  EXPECT_FALSE(p4sim::op_info(Op::kParam).pure());
+  EXPECT_TRUE(p4sim::op_info(Op::kHash1).pure());
+  EXPECT_FALSE(p4sim::op_info(Op::kHash1).alu);  // an extern, never constant
 }
 
 TEST(Dataflow, CollectFactsTracksUpwardExposure) {
@@ -81,48 +83,137 @@ TEST(Dataflow, CollectFactsTracksUpwardExposure) {
   EXPECT_EQ(f.max_temp_plus_one, 101u);
 }
 
-TEST(Dataflow, FoldMatchesExecuteExactly) {
-  // Every pure opcode folded at compile time must equal execute() at run
-  // time, including wrapping arithmetic and shift-amount masking.
-  const Word values[] = {0, 1, 2, 63, 64, 65, ~Word{0}, Word{1} << 63,
-                         0x123456789abcdef0ULL};
-  const Op ops[] = {Op::kAdd, Op::kSub, Op::kMul, Op::kShl, Op::kShr,
-                    Op::kAnd, Op::kOr,  Op::kXor, Op::kNot, Op::kEq,
-                    Op::kNe,  Op::kLt,  Op::kGt,  Op::kLe,  Op::kGe,
-                    Op::kSelect, Op::kHash1, Op::kHash2, Op::kMov};
-  for (const Op op : ops) {
-    for (const Word a : values) {
-      for (const Word b : values) {
-        p4sim::Instruction ins;
-        ins.op = op;
-        ins.dst = 3;
-        ins.a = 0;
-        ins.b = 1;
-        ins.c = 2;
-        const auto folded = analysis::fold_instruction(ins, a, b, /*c=*/7);
-        ASSERT_TRUE(folded.has_value());
+/// One register cell of the all-ops program: `op` applied to operands that
+/// are action params except in the slots `const_mask` names (bit 0 = a,
+/// 1 = b, 2 = c), which hold the compile-time constants `k`.
+struct OpCell {
+  Op op;
+  unsigned const_mask;
+  std::array<Word, 3> k;
+};
 
-        Program p;
-        p.name = "fold";
-        p.code.push_back(ins);
-        p4sim::ExecutionContext ctx;
-        ctx.temps[0] = a;
-        ctx.temps[1] = b;
-        ctx.temps[2] = 7;
-        p4sim::execute(p, ctx);
-        ASSERT_EQ(*folded, ctx.temps[3])
-            << "op " << static_cast<int>(op) << " a=" << a << " b=" << b;
+TEST(Dataflow, FoldMatchesExecuteExactly) {
+  // The semantics every tier and folder shares, pinned by hand so that a
+  // wrong p4sim::eval cannot pass by agreeing with itself.
+  const auto ev = [](Op op, Word a, Word b, Word c = 0) {
+    return p4sim::eval(op, 0, a, b, c);
+  };
+  const Word x = 0x123456789abcdef0ULL;
+  EXPECT_EQ(ev(Op::kShl, x, 64), x);  // shift amounts are taken & 63
+  EXPECT_EQ(ev(Op::kShr, 1, 65), 0u);
+  EXPECT_EQ(ev(Op::kSub, 0, 1), ~Word{0});  // wrapping u64
+  EXPECT_EQ(ev(Op::kLt, ~Word{0}, 0), 0u);  // unsigned compare
+  EXPECT_EQ(ev(Op::kMul, Word{1} << 63, 2), 0u);
+  EXPECT_EQ(ev(Op::kSelect, 5, 11, 13), 11u);
+
+  // Every pure op on every tier, with each operand arriving either as an
+  // action param (unknown when the action is lowered) or as a kConst (which
+  // drives the threaded tier's folds and immediate forms).  All cells live
+  // in one program so the native tier compiles once.
+  const std::vector<Word> values = {0,  1,  2,        5,
+                                    63, 64, 65,       ~Word{0},
+                                    Word{1} << 63,    x};
+  std::vector<Op> ops;
+  for (const p4sim::OpInfo& info : p4sim::kOpTable) {
+    if (info.pure() && info.op != Op::kConst) ops.push_back(info.op);
+  }
+  ASSERT_EQ(ops.size(), 19u);
+
+  std::vector<OpCell> cells;
+  for (const Op op : ops) cells.push_back({op, 0, {}});
+  for (const unsigned slot : {0u, 1u, 2u}) {
+    for (const Word v : values) {
+      std::array<Word, 3> k{};
+      k[slot] = v;
+      for (const Op op : ops) cells.push_back({op, 1u << slot, k});
+    }
+  }
+  // All-constant cells fold away on the threaded tier; a smaller grid keeps
+  // the native tier's compile short.
+  const Word corners[] = {0, 1, 2, 65, ~Word{0}, Word{1} << 63};
+  for (const Word a : corners) {
+    for (const Word b : corners) {
+      for (const Op op : ops) cells.push_back({op, 7, {a, b, 7}});
+    }
+  }
+
+  // t0..t2 = params, t3..t5 = constants, t6 = result, t7 = cell index.
+  Program prog;
+  prog.name = "all_ops";
+  const auto push = [&](Op op, TempId dst, TempId a, TempId b, TempId c,
+                        Word imm, p4sim::RegisterId reg) {
+    p4sim::Instruction ins;
+    ins.op = op;
+    ins.dst = dst;
+    ins.a = a;
+    ins.b = b;
+    ins.c = c;
+    ins.imm = imm;
+    ins.reg = reg;
+    prog.code.push_back(ins);
+  };
+  for (TempId s = 0; s < 3; ++s) push(Op::kParam, s, 0, 0, 0, s, 0);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const OpCell& cell = cells[i];
+    std::array<TempId, 3> in{0, 1, 2};
+    for (TempId s = 0; s < 3; ++s) {
+      if (((cell.const_mask >> s) & 1U) != 0) {
+        in[s] = static_cast<TempId>(3 + s);
+        push(Op::kConst, in[s], 0, 0, 0, cell.k[s], 0);
       }
+    }
+    push(cell.op, 6, in[0], in[1], in[2], 0, 0);
+    push(Op::kConst, 7, 0, 0, 0, i, 0);
+    push(Op::kStoreReg, 0, 7, 6, 0, 0, /*reg=*/0);
+  }
+
+  for (const p4sim::ExecTier tier :
+       {p4sim::ExecTier::kInterpreter, p4sim::ExecTier::kThreaded,
+        p4sim::ExecTier::kNative}) {
+    p4sim::P4Switch sw("fold", p4sim::AluProfile{true, prog.code.size()});
+    const auto out = sw.declare_register(
+        "out", static_cast<std::uint32_t>(cells.size()));
+    ASSERT_EQ(out, 0u);
+    const auto action = sw.add_action(prog);
+    const auto table = sw.add_table(
+        "t", {p4sim::KeySpec{p4sim::FieldRef::kIpv4Dst,
+                             p4sim::MatchKind::kExact}});
+    sw.add_table_stage(table);
+    sw.set_exec_tier(tier);
+    for (const Word pa : values) {
+      for (const Word pb : values) {
+        const Word pc = pa ^ ~pb;
+        sw.table(table).set_default_action(action, {pa, pb, pc});
+        (void)sw.process(p4sim::make_udp_packet(ipv4(1, 1, 1, 1),
+                                                ipv4(10, 0, 0, 1), 1, 2));
+        if (sw.active_tier() != tier) {
+          ASSERT_EQ(tier, p4sim::ExecTier::kNative);
+          GTEST_LOG_(INFO) << "no host compiler; native tier not checked";
+          break;
+        }
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+          const OpCell& cell = cells[i];
+          const auto arg = [&](unsigned s, Word param) {
+            return ((cell.const_mask >> s) & 1U) != 0 ? cell.k[s] : param;
+          };
+          ASSERT_EQ(sw.registers().read(out, i),
+                    ev(cell.op, arg(0, pa), arg(1, pb), arg(2, pc)))
+              << p4sim::to_string(tier) << ' '
+              << p4sim::op_info(cell.op).name << " const_mask "
+              << cell.const_mask << " params " << pa << ", " << pb << ", "
+              << pc;
+        }
+      }
+      if (sw.active_tier() != tier) break;
     }
   }
 }
 
 TEST(Dataflow, FoldRefusesStatefulOps) {
-  p4sim::Instruction ins;
-  ins.op = Op::kLoadReg;
-  EXPECT_FALSE(analysis::fold_instruction(ins, 1, 2, 3).has_value());
-  ins.op = Op::kParam;
-  EXPECT_FALSE(analysis::fold_instruction(ins, 1, 2, 3).has_value());
+  // The folders only evaluate pure ops; loads and params read state.
+  EXPECT_FALSE(p4sim::op_info(Op::kLoadReg).pure());
+  EXPECT_FALSE(p4sim::op_info(Op::kLoadField).pure());
+  EXPECT_FALSE(p4sim::op_info(Op::kParam).pure());
 }
 
 // ---- constant propagation -------------------------------------------------

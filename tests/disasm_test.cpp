@@ -72,8 +72,9 @@ TEST(Disasm, WholeProgramListsEveryInstruction) {
 }
 
 TEST(Disasm, EveryOpcodeHasAName) {
-  for (int op = 0; op <= static_cast<int>(Op::kDigest); ++op) {
-    EXPECT_STRNE(op_name(static_cast<Op>(op)), "?");
+  for (const OpInfo& info : kOpTable) {
+    ASSERT_NE(info.name, nullptr);
+    EXPECT_STRNE(info.name, "");
   }
 }
 

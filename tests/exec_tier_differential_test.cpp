@@ -136,7 +136,10 @@ void replay_tier(const std::string& app, ExecTier tier, bool batched,
   expect_same_registers(*ref, *got, what);
 }
 
-using TierParam = std::tuple<const char*, ExecTier>;
+// The app is held as std::string, not const char*: gtest lists a pointer
+// parameter by its address, which moves with ASLR and would give the
+// discovered ctest names a different suffix on every build.
+using TierParam = std::tuple<std::string, ExecTier>;
 
 class ExecTierDifferential : public ::testing::TestWithParam<TierParam> {};
 
@@ -160,7 +163,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(ExecTier::kInterpreter, ExecTier::kThreaded,
                           ExecTier::kNative)),
     [](const ::testing::TestParamInfo<TierParam>& param_info) {
-      return std::string(std::get<0>(param_info.param)) + "_" +
+      return std::get<0>(param_info.param) + "_" +
              tier_tag(std::get<1>(param_info.param));
     });
 
