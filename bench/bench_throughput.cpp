@@ -32,7 +32,7 @@
 #include "analysis/pass_manager.hpp"
 #include "control/ml/ml.hpp"
 #include "baseline/welford.hpp"
-#include "netsim/rng.hpp"
+#include "netsim/netsim.hpp"
 #include "p4sim/craft.hpp"
 #include "runtime/runtime.hpp"
 #include "sketch/apps.hpp"
@@ -309,6 +309,40 @@ void BM_SwitchSketchHHPacket(benchmark::State& state) {
   report_tier(state, app.sw());
 }
 BENCHMARK(BM_SwitchSketchHHPacket);
+
+// ------------------------------------------------------------ netsim layer
+
+void BM_NetsimHopPacket(benchmark::State& state) {
+  // The case study's simulated path for one packet, minus the pump: a host
+  // sends a fresh UDP packet, it crosses a link to a forward-only
+  // P4SwitchNode and a second link to the sink host, and sim.run() drains
+  // the two arrival events.  Versus BM_SwitchForwardOnlyPacket this prices
+  // netsim's share: event queue, in-flight packet pool and node dispatch.
+  stat4p4::MonitorApp app;
+  app.install_forward(p4sim::ipv4(10, 0, 0, 0), 8, 1);
+  app.sw().set_exec_tier(p4sim::ExecTier::kThreaded);
+  netsim::Simulator sim;
+  netsim::Network net(sim);
+  const auto sw =
+      net.add_node(std::make_unique<netsim::P4SwitchNode>(app.sw()));
+  const auto src = net.add_node(std::make_unique<netsim::HostNode>());
+  const auto dst = net.add_node(std::make_unique<netsim::HostNode>());
+  net.link(src, 0, sw, 0, 50 * stat4::kMicrosecond);
+  net.link(sw, 1, dst, 0, 50 * stat4::kMicrosecond);
+  auto& host = net.node<netsim::HostNode>(src);
+  for (auto _ : state) {
+    host.transmit(0, p4sim::make_udp_packet(p4sim::ipv4(8, 8, 8, 8),
+                                            p4sim::ipv4(10, 0, 1, 1), 1, 2));
+    benchmark::DoNotOptimize(sim.run());
+  }
+  if (net.node<netsim::HostNode>(dst).packets_received() !=
+      static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("a packet was not delivered");
+  }
+  state.SetItemsProcessed(state.iterations());
+  report_tier(state, app.sw());
+}
+BENCHMARK(BM_NetsimHopPacket);
 
 void BM_AnomalyScorePacket(benchmark::State& state) {
   // Controller-side ML ensemble cost per fed sample (docs/ML.md): with the

@@ -1,5 +1,6 @@
 #include "netsim/network.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace netsim {
@@ -84,24 +85,39 @@ void Network::transmit(NodeId from, PortId port, Packet pkt) {
     depart = ep.busy_until;
   }
 
-  const Endpoint snapshot = ep;
-  sim_.schedule_at(
-      depart + ep.delay, [this, snapshot, p = std::move(pkt)]() mutable {
-        p.ingress_port = snapshot.port;
-        p.ingress_ts = sim_.now();
-        ++delivered_;
-        nodes_[snapshot.node]->on_packet(snapshot.port, std::move(p));
-      });
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<std::uint32_t>(in_flight_.size()));
+    in_flight_.emplace_back();
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  in_flight_[slot] = InFlight{ep.node, ep.port, std::move(pkt)};
+  // 16 trivially copyable bytes: stored inline by std::function.
+  sim_.schedule_at(depart + ep.delay, [this, slot] { arrive(slot); });
+}
+
+void Network::arrive(std::uint32_t slot) {
+  // Take the packet and free the slot BEFORE on_packet: the receiver may
+  // transmit, which can grow (reallocate) the pool.
+  InFlight& f = in_flight_[slot];
+  const NodeId node = f.node;
+  const PortId port = f.port;
+  Packet pkt = std::move(f.pkt);
+  free_slots_.push_back(slot);
+  pkt.ingress_port = port;
+  pkt.ingress_ts = sim_.now();
+  ++delivered_;
+  nodes_[node]->on_packet(port, std::move(pkt));
 }
 
 void P4SwitchNode::on_packet(PortId port, Packet pkt) {
   pkt.ingress_port = port;
   pkt.ingress_ts = now();
-  auto out = sw_->process(std::move(pkt));
+  sw_->process_into(std::move(pkt), out_);
   if (digest_sink_) {
-    for (const auto& d : out.digests) digest_sink_(d);
+    for (const auto& d : out_.digests) digest_sink_(d);
   }
-  for (auto& [out_port, out_pkt] : out.packets) {
+  for (auto& [out_port, out_pkt] : out_.packets) {
     send(out_port, std::move(out_pkt));
   }
 }

@@ -4,8 +4,15 @@
 // forwarding path, destination subnets, and a controller reachable over a
 // non-zero-latency control channel.  Network provides the first three;
 // channel.hpp models the controller path.
+//
+// The per-packet path allocates nothing: the Network owns every packet on
+// the wire (a slot pool with a free list), so the arrival event it
+// schedules captures only `this` and a slot index and fits inside
+// std::function's inline buffer, and a P4SwitchNode reuses one
+// SwitchOutput for every packet it processes.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -93,11 +100,22 @@ class Network {
     TimeNs busy_until = 0;            ///< per-direction transmit state
   };
 
+  /// A packet on the wire, bound for (node, port).
+  struct InFlight {
+    NodeId node = 0;
+    PortId port = 0;
+    Packet pkt;
+  };
+
   void transmit(NodeId from, PortId port, Packet pkt);
+  /// The arrival event of in-flight slot `slot`.
+  void arrive(std::uint32_t slot);
 
   Simulator& sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::map<std::pair<NodeId, PortId>, Endpoint> wires_;
+  std::vector<InFlight> in_flight_;      ///< slot pool, grows to the peak
+  std::vector<std::uint32_t> free_slots_;  ///< indices into in_flight_
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_unwired_ = 0;
   std::uint64_t dropped_queue_ = 0;
@@ -105,6 +123,12 @@ class Network {
 
 /// Wraps a P4Switch as a network node.  Digests are handed to the digest
 /// sink immediately (the control channel adds its own latency).
+///
+/// The node processes every packet into one reused SwitchOutput, so the
+/// digest sink must not synchronously deliver a packet into this same node
+/// (e.g. via Network::inject): the nested on_packet would overwrite the
+/// output the outer call is still walking.  Sinks that go through a
+/// ControlChannel, or otherwise schedule, are fine.
 class P4SwitchNode : public Node {
  public:
   /// `sw` must outlive the node (typically owned by a stat4p4 app object).
@@ -121,6 +145,7 @@ class P4SwitchNode : public Node {
  private:
   p4sim::P4Switch* sw_;
   std::function<void(const p4sim::Digest&)> digest_sink_;
+  p4sim::SwitchOutput out_;  ///< reused across packets (see class comment)
 };
 
 /// A host that hands every received packet to a callback (and can send).

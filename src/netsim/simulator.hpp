@@ -4,11 +4,17 @@
 // latency, controller processing, table-update delays — is an event on one
 // deterministic nanosecond clock, so experiments are exactly reproducible
 // from their seeds (unlike the paper's wall-clock veth/OVS setup).
+//
+// Events are moved, never copied: the queue is a binary heap over a
+// std::vector, and run()/run_until() move the due event out of it before
+// calling it.  A callback that owns state (a captured Packet, say) is
+// therefore never duplicated on its way through the queue, and a small
+// trivially copyable closure — the shape the netsim hot path schedules —
+// lives inside std::function's inline buffer with no heap allocation.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "stat4/types.hpp"
@@ -35,8 +41,8 @@ class Simulator {
   /// Run events with time <= `t`; afterwards now() == t (even if idle).
   std::uint64_t run_until(TimeNs t);
 
-  [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
-  [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
   [[nodiscard]] std::uint64_t events_processed() const noexcept {
     return processed_;
   }
@@ -54,7 +60,10 @@ class Simulator {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  /// Pops the earliest event, advances the clock to it and runs it.
+  void run_next();
+
+  std::vector<Event> heap_;  ///< std::push_heap/pop_heap order under Later
   TimeNs now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t processed_ = 0;

@@ -25,17 +25,30 @@ struct FlowState {
   double exp_scale = 1.0;  ///< exponential inter-arrival multiplier
 };
 
+PacketPump::PacketPump(Simulator& sim, Emit emit)
+    : sim_(&sim), emit_(std::move(emit)) {}
+
+PacketPump::~PacketPump() = default;
+
+void PacketPump::add_flow(std::unique_ptr<FlowState> flow, TimeNs at) {
+  flows_.push_back(std::move(flow));
+  schedule_step(flows_.back().get(), at);
+}
+
+void PacketPump::schedule_step(FlowState* flow, TimeNs at) {
+  sim_->schedule_at(at, [this, flow]() { step(flow); });
+}
+
 void PacketPump::launch(TimeNs start, TimeNs stop, TimeNs gap,
                         PacketFactory factory) {
   if (gap <= 0) {
     throw std::invalid_argument("netsim: packet gap must be positive");
   }
-  auto flow = std::make_shared<FlowState>();
+  auto flow = std::make_unique<FlowState>();
   flow->stop = stop;
   flow->gap = gap;
   flow->factory = std::move(factory);
-  const TimeNs at = std::max(start, sim_->now());
-  sim_->schedule_at(at, [this, flow]() { step(flow); });
+  add_flow(std::move(flow), std::max(start, sim_->now()));
 }
 
 void PacketPump::emit_packet(FlowState& flow) {
@@ -56,7 +69,7 @@ void PacketPump::emit_packet(FlowState& flow) {
   ++emitted_;
 }
 
-void PacketPump::step(std::shared_ptr<FlowState> flow) {
+void PacketPump::step(FlowState* flow) {
   if (stopped_) return;
   if (flow->stop != 0 && sim_->now() >= flow->stop) return;
   if (flow->modulator) {
@@ -72,17 +85,17 @@ void PacketPump::step(std::shared_ptr<FlowState> flow) {
         1, static_cast<TimeNs>(-static_cast<double>(flow->gap) *
                                std::log(u)));
   }
-  sim_->schedule_after(gap, [this, flow]() { step(flow); });
+  schedule_step(flow, sim_->now() + gap);
 }
 
-void PacketPump::modulated_step(const std::shared_ptr<FlowState>& flow) {
+void PacketPump::modulated_step(FlowState* flow) {
   const TimeNs now = sim_->now();
   double factor = flow->modulator(now);
   if (!(factor > 0.0)) {
     // Silenced: poll again one base gap later; no backlog accrues while
     // the rate is zero.
     flow->last_emit = now;
-    sim_->schedule_after(flow->gap, [this, flow]() { step(flow); });
+    schedule_step(flow, now + flow->gap);
     return;
   }
   factor = std::min(1e6, std::max(1e-6, factor));
@@ -104,7 +117,7 @@ void PacketPump::modulated_step(const std::shared_ptr<FlowState>& flow) {
       1, static_cast<TimeNs>(mean_gap * flow->exp_scale));
   const TimeNs due = flow->last_emit + next_interval - now;
   const TimeNs wait = std::max<TimeNs>(1, std::min(due, flow->gap));
-  sim_->schedule_after(wait, [this, flow]() { step(flow); });
+  schedule_step(flow, now + wait);
 }
 
 void PacketPump::launch_poisson(TimeNs start, TimeNs stop, TimeNs mean_gap,
@@ -112,13 +125,12 @@ void PacketPump::launch_poisson(TimeNs start, TimeNs stop, TimeNs mean_gap,
   if (mean_gap <= 0) {
     throw std::invalid_argument("netsim: mean gap must be positive");
   }
-  auto flow = std::make_shared<FlowState>();
+  auto flow = std::make_unique<FlowState>();
   flow->stop = stop;
   flow->gap = mean_gap;
   flow->rng = &rng;
   flow->factory = std::move(factory);
-  const TimeNs at = std::max(start, sim_->now());
-  sim_->schedule_at(at, [this, flow]() { step(flow); });
+  add_flow(std::move(flow), std::max(start, sim_->now()));
 }
 
 void PacketPump::launch_modulated(TimeNs start, TimeNs stop, TimeNs base_gap,
@@ -130,7 +142,7 @@ void PacketPump::launch_modulated(TimeNs start, TimeNs stop, TimeNs base_gap,
   if (!modulator) {
     throw std::invalid_argument("netsim: modulator must be callable");
   }
-  auto flow = std::make_shared<FlowState>();
+  auto flow = std::make_unique<FlowState>();
   flow->stop = stop;
   flow->gap = base_gap;
   flow->rng = rng;
@@ -138,7 +150,7 @@ void PacketPump::launch_modulated(TimeNs start, TimeNs stop, TimeNs base_gap,
   flow->factory = std::move(factory);
   const TimeNs at = std::max(start, sim_->now());
   flow->last_emit = at - base_gap;  // first emission due immediately
-  sim_->schedule_at(at, [this, flow]() { step(flow); });
+  add_flow(std::move(flow), at);
 }
 
 RateModulator diurnal_modulator(TimeNs period, double amplitude) {

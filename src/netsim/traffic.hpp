@@ -28,13 +28,24 @@ using PacketFactory = std::function<p4sim::Packet(std::uint64_t seq)>;
 /// seed-deterministic.
 using RateModulator = std::function<double(TimeNs now)>;
 
+struct FlowState;
+
 /// Emits factory-made packets on a fixed inter-arrival grid.
+///
+/// The pump owns its flows: each launch adds one FlowState that lives as
+/// long as the pump, and every scheduled step captures only `this` and a
+/// raw pointer to its flow (16 trivially copyable bytes, stored inline by
+/// std::function).  The pump must therefore outlive any run of the
+/// simulator that may still fire its steps, and it cannot be copied or
+/// moved.
 class PacketPump {
  public:
   using Emit = std::function<void(p4sim::Packet)>;
 
-  PacketPump(Simulator& sim, Emit emit)
-      : sim_(&sim), emit_(std::move(emit)) {}
+  PacketPump(Simulator& sim, Emit emit);
+  ~PacketPump();
+  PacketPump(const PacketPump&) = delete;
+  PacketPump& operator=(const PacketPump&) = delete;
 
   /// Emit packets from `start` (absolute) until `stop`, one every `gap` ns.
   /// A `stop` of 0 means "run forever" (until the simulation stops
@@ -66,12 +77,16 @@ class PacketPump {
   }
 
  private:
-  void step(std::shared_ptr<struct FlowState> flow);
-  void modulated_step(const std::shared_ptr<struct FlowState>& flow);
-  void emit_packet(struct FlowState& flow);
+  /// Takes ownership of `flow` and schedules its first step at `at`.
+  void add_flow(std::unique_ptr<FlowState> flow, TimeNs at);
+  void schedule_step(FlowState* flow, TimeNs at);
+  void step(FlowState* flow);
+  void modulated_step(FlowState* flow);
+  void emit_packet(FlowState& flow);
 
   Simulator* sim_;
   Emit emit_;
+  std::vector<std::unique_ptr<FlowState>> flows_;
   bool stopped_ = false;
   std::uint64_t emitted_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "runtime/fleet_runner.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "p4sim/switch.hpp"
 #include "telemetry/telemetry.hpp"
@@ -178,15 +179,12 @@ bool FleetRunner::inject(control::SwitchId sw, p4sim::Packet pkt) {
     return false;
   }
   if (cfg_.policy == Policy::kBlock) {
-    STAT4_TELEMETRY_ONLY(
-        // Time the stall only when the ring looks full — rare, and exactly
-        // the event worth tracing; the unstalled path stays clock-free.
-        if (lane.ring->size() >= lane.ring->capacity()) {
-          telemetry::SpanTimer t_span(metrics.block_stall_ns);
-          lane.ring->push_blocking(std::move(pkt));
-          return true;
-        })
-    lane.ring->push_blocking(std::move(pkt));
+    // Time the stall only once a push has failed — rare, and exactly the
+    // event worth tracing; the unstalled path stays clock-free.
+    STAT4_TELEMETRY_ONLY(std::optional<telemetry::SpanTimer> t_stall;)
+    lane.ring->push_blocking(std::move(pkt), [&] {
+      STAT4_TELEMETRY_ONLY(t_stall.emplace(metrics.block_stall_ns);)
+    });
     return true;
   }
   if (!lane.ring->try_push(std::move(pkt))) {

@@ -43,6 +43,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "stat4/types.hpp"
@@ -100,20 +102,11 @@ class SpscRing {
 
   // ------------------------------------------------------------- producer
 
-  /// Returns false when the ring is full.
-  bool try_push(T item) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t next = (head + 1) & mask_;
-    if (next == tail_cache_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (next == tail_cache_) return false;
-    }
-    slots_[head] = std::move(item);
-    // seq_cst publish: Dekker-pairs with consumer_park (see wake_consumer).
-    head_.store(next, std::memory_order_seq_cst);
-    wake_consumer();
-    return true;
-  }
+  /// Returns false when the ring is full.  Moves from (or copies) `item`
+  /// only when the push succeeds: after a false return the caller still
+  /// holds it, to retry or to drop.
+  bool try_push(T&& item) { return push_one(item); }
+  bool try_push(const T& item) { return push_one(item); }
 
   /// Copies up to `n` items from `items` into the ring under a single
   /// acquire/release pair; returns how many were accepted (0 when full).
@@ -169,11 +162,21 @@ class SpscRing {
   }
 
   /// Producer side: push or backpressure-wait until space frees up.
+  /// Every retry offers the same `item`; it is moved into the ring once.
   void push_blocking(T item) {
-    if (try_push(item)) return;
+    push_blocking(std::move(item), [] {});
+  }
+
+  /// As push_blocking(item), but calls `on_full()` once when the first
+  /// attempt finds the ring full, before waiting — and never on the
+  /// uncontended path (FleetRunner starts its stall timer there).
+  template <typename OnFull>
+  void push_blocking(T item, OnFull&& on_full) {
+    if (push_one(item)) return;
+    on_full();
     unsigned tries = 0;
     for (;;) {
-      if (try_push(item)) return;
+      if (push_one(item)) return;
       if (tries < SpinPolicy::kSpins) {
         ++tries;
       } else if (tries < SpinPolicy::kSpins + SpinPolicy::kYields) {
@@ -298,6 +301,27 @@ class SpscRing {
   }
 
  private:
+  /// The single-item push: moves from a non-const `item` (copies a const
+  /// one) only when there is room; a full ring leaves `item` untouched.
+  template <typename U>
+  bool push_one(U& item) {
+    const std::size_t head = head_.load(std::memory_order_relaxed);
+    const std::size_t next = (head + 1) & mask_;
+    if (next == tail_cache_) {
+      tail_cache_ = tail_.load(std::memory_order_acquire);
+      if (next == tail_cache_) return false;
+    }
+    if constexpr (std::is_const_v<U>) {
+      slots_[head] = item;
+    } else {
+      slots_[head] = std::move(item);
+    }
+    // seq_cst publish: Dekker-pairs with consumer_park (see wake_consumer).
+    head_.store(next, std::memory_order_seq_cst);
+    wake_consumer();
+    return true;
+  }
+
   /// Producer side: park until the consumer frees a slot.  The close() flag
   /// is producer-owned, so only tail movement can wake us.  Same signal-
   /// counter protocol as consumer_park().

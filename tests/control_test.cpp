@@ -201,6 +201,25 @@ TEST(CaseStudy, DeterministicForFixedSeed) {
   EXPECT_EQ(a.detection_delay, b.detection_delay);
   EXPECT_EQ(a.pinpoint_delay, b.pinpoint_delay);
   EXPECT_EQ(a.packets_sent, b.packets_sent);
+
+  // Golden outcomes: any change to the simulator, the network or the
+  // traffic pump must leave the simulated run bit-identical.
+  const auto expect_golden = [](const CaseStudyOutcome& out,
+                                 stat4::TimeNs spike_start,
+                                 stat4::TimeNs detection_delay,
+                                 stat4::TimeNs pinpoint_delay,
+                                 std::uint64_t packets_sent,
+                                 std::uint64_t events) {
+    EXPECT_EQ(out.spike_start, spike_start);
+    EXPECT_EQ(out.detection_delay, detection_delay);
+    EXPECT_EQ(out.pinpoint_delay, pinpoint_delay);
+    EXPECT_EQ(out.packets_sent, packets_sent);
+    EXPECT_EQ(out.events, events);
+  };
+  expect_golden(a, 992639638, 7410362, 2216131648, 601710, 1805097);
+  params.seed = 2021;
+  expect_golden(run_case_study(params), 1291017442, 5032558, 2217953688,
+                609575, 1828692);
 }
 
 TEST(CaseStudy, LongIntervalsStillDetect) {

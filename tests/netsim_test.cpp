@@ -65,6 +65,36 @@ TEST(Simulator, RunUntilStopsAtBoundary) {
   EXPECT_FALSE(sim.empty());
 }
 
+TEST(Simulator, RunMovesEventsNeverCopies) {
+  // The queue moves each event out before running it, so a stateful
+  // callback (one owning a Packet, say) is never duplicated on the way.
+  struct CountingCallable {
+    int* copies;
+    int* calls;
+    CountingCallable(int* c, int* k) : copies(c), calls(k) {}
+    CountingCallable(const CountingCallable& o)
+        : copies(o.copies), calls(o.calls) {
+      ++*copies;
+    }
+    CountingCallable(CountingCallable&&) noexcept = default;
+    CountingCallable& operator=(const CountingCallable&) = delete;
+    CountingCallable& operator=(CountingCallable&&) = delete;
+    ~CountingCallable() = default;
+    void operator()() const { ++*calls; }
+  };
+  Simulator sim;
+  int copies = 0;
+  int calls = 0;
+  // Out-of-order times so the heap has to reorder what it holds.
+  for (int i = 0; i < 8; ++i) {
+    sim.schedule_at((i * 5) % 8, CountingCallable(&copies, &calls));
+  }
+  const int copies_when_queued = copies;
+  EXPECT_EQ(sim.run(), 8u);
+  EXPECT_EQ(calls, 8);
+  EXPECT_EQ(copies, copies_when_queued) << "run() copied a queued event";
+}
+
 TEST(Simulator, PastSchedulingRejected) {
   Simulator sim;
   sim.schedule_at(100, [] {});
@@ -137,6 +167,33 @@ TEST(Network, SwitchNodeForwardsThroughTopology) {
       0, p4sim::make_udp_packet(ipv4(1, 1, 1, 1), ipv4(9, 0, 0, 1), 7, 8));
   sim.run();
   EXPECT_EQ(net.node<HostNode>(hb).packets_received(), 1u);
+}
+
+TEST(Network, PacketKeepsItsBufferAcrossHops) {
+  // host -> forward-only switch -> host moves the one buffer the host
+  // built all the way through: no hop copies the packet.
+  Simulator sim;
+  Network net(sim);
+  stat4p4::MonitorApp app;
+  app.install_forward(ipv4(10, 0, 0, 0), 8, 1);
+  const auto sw = net.add_node(std::make_unique<P4SwitchNode>(app.sw()));
+  const auto ha = net.add_node(std::make_unique<HostNode>());
+  const auto hb = net.add_node(std::make_unique<HostNode>());
+  net.link(ha, 0, sw, 0, kMillisecond);
+  net.link(sw, 1, hb, 0, kMillisecond);
+
+  const p4sim::Byte* received = nullptr;
+  net.node<HostNode>(hb).set_handler(
+      [&](p4sim::PortId, const p4sim::Packet& pkt) {
+        received = pkt.data.data();
+      });
+  auto pkt =
+      p4sim::make_udp_packet(ipv4(1, 1, 1, 1), ipv4(10, 0, 5, 6), 7, 8);
+  const p4sim::Byte* sent = pkt.data.data();
+  net.node<HostNode>(ha).transmit(0, std::move(pkt));
+  sim.run();
+  ASSERT_EQ(net.node<HostNode>(hb).packets_received(), 1u);
+  EXPECT_EQ(received, sent);
 }
 
 TEST(Network, BandwidthSerializesPackets) {

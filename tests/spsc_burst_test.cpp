@@ -9,6 +9,7 @@
 // park/notify fences are exercised under the race detector.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <random>
 #include <thread>
@@ -88,6 +89,84 @@ TEST(SpscBurst, BurstInteroperatesWithSingleItemOps) {
   ASSERT_TRUE(ring.try_pop(v));
   EXPECT_EQ(v, 4);
   EXPECT_TRUE(ring.empty());
+}
+
+// An element that counts its copies (moves are free), standing in for a
+// Packet whose copy costs an allocation and a memcpy.
+struct CopyCounted {
+  static inline int copies = 0;
+  std::vector<int> payload;
+
+  CopyCounted() = default;
+  explicit CopyCounted(int v) : payload{v} {}
+  CopyCounted(const CopyCounted& o) : payload(o.payload) { ++copies; }
+  CopyCounted& operator=(const CopyCounted& o) {
+    payload = o.payload;
+    ++copies;
+    return *this;
+  }
+  CopyCounted(CopyCounted&&) noexcept = default;
+  CopyCounted& operator=(CopyCounted&&) noexcept = default;
+  ~CopyCounted() = default;
+};
+
+TEST(SpscBurst, SingleItemPushOfRvaluesNeverCopies) {
+  CopyCounted::copies = 0;
+  SpscRing<CopyCounted> ring(4);  // rounds to 8 slots, 7 usable
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(ring.try_push(CopyCounted(i)));
+  for (int i = 3; i < 7; ++i) ring.push_blocking(CopyCounted(i));
+  EXPECT_EQ(ring.size(), ring.capacity());
+
+  // A refused push leaves its argument intact, so the caller can retry.
+  CopyCounted kept(99);
+  EXPECT_FALSE(ring.try_push(std::move(kept)));
+  EXPECT_EQ(kept.payload, std::vector<int>{99});
+
+  CopyCounted out;
+  ASSERT_TRUE(ring.try_pop(out));
+  EXPECT_EQ(out.payload, std::vector<int>{0});
+  ring.push_blocking(std::move(kept));  // lands in the freed slot
+  for (int i = 1; i < 7; ++i) {
+    ASSERT_TRUE(ring.try_pop(out));
+    EXPECT_EQ(out.payload, std::vector<int>{i});
+  }
+  ASSERT_TRUE(ring.try_pop(out));
+  EXPECT_EQ(out.payload, std::vector<int>{99});
+  EXPECT_EQ(CopyCounted::copies, 0);
+
+  // An lvalue push copies exactly once, and only when it lands.
+  const CopyCounted original(5);
+  ASSERT_TRUE(ring.try_push(original));
+  EXPECT_EQ(CopyCounted::copies, 1);
+}
+
+TEST(SpscBurst, PushBlockingCallsOnFullOnlyWhenItMustWait) {
+  SpscRing<int> ring(3);  // rounds to 4 slots, 3 usable
+  int full_calls = 0;
+  const auto on_full = [&full_calls] { ++full_calls; };
+  for (int i = 0; i < 3; ++i) ring.push_blocking(i, on_full);
+  EXPECT_EQ(full_calls, 0) << "the uncontended path must not report a stall";
+
+  // The consumer frees a slot only after the producer reported the stall,
+  // so the first attempt is guaranteed to find the ring full.
+  std::atomic<bool> stalled{false};
+  std::thread consumer([&] {
+    while (!stalled.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    int v = -1;
+    while (!ring.try_pop(v)) std::this_thread::yield();
+  });
+  ring.push_blocking(3, [&] {
+    ++full_calls;
+    stalled.store(true, std::memory_order_release);
+  });
+  consumer.join();
+  EXPECT_EQ(full_calls, 1);
+
+  std::vector<int> out;
+  ring.pop_burst(out, 8);
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(SpscBurst, PopBurstAppendsToNonEmptyVector) {
