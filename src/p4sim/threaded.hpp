@@ -24,8 +24,9 @@
 
 namespace p4sim {
 
-/// One pre-decoded instruction.  16-byte-ish hot prefix (handler + packed
-/// operand ids) followed by the cold operands only some ops use.
+/// One pre-decoded instruction: 64 bytes, one cache line.  The handler and
+/// the packed operand ids come first; the register window and the second
+/// immediate (reg_mask) only matter to the ops that use them.
 struct ThreadedOp {
   const void* handler = nullptr;  ///< computed-goto label
   std::uint8_t opcode = 0;        ///< internal opcode (lowering only)
@@ -46,6 +47,9 @@ struct ThreadedOp {
 /// the dispatch loop needs no bounds check.
 struct ThreadedProgram {
   std::vector<ThreadedOp> ops;
+  /// Ops placed behind skip-if-zero handlers (guarded runs); 0 when the
+  /// program had no run worth guarding and was lowered in program order.
+  std::size_t guarded_ops = 0;
 };
 
 /// Per-packet state threaded execution runs over — the flat equivalent of
@@ -62,16 +66,35 @@ struct ThreadedState {
 };
 
 /// Pre-decodes `program`, resolving register operands against `registers`,
-/// and optimizes the op stream: straight-line constant propagation and
-/// folding (through p4sim::eval, so including the hash externs),
-/// immediate-operand op variants, constant-index register accesses lowered
-/// to pre-resolved cell pointers, fused compare+select pairs, and dead-code
-/// elimination of pure ops whose result no installed action can observe.
+/// and optimizes the op stream:
+///   1. lowering with straight-line constant propagation and folding
+///      (through p4sim::eval, so including the hash externs),
+///      immediate-operand op variants, and constant-index register
+///      accesses lowered to pre-resolved cell pointers;
+///   1.5 copy propagation;
+///   2. dead-code elimination of pure ops whose result no installed action
+///      can observe;
+///   3. fused compare+select pairs;
+///   4. guarded runs.  A demand analysis finds, for each pure op (ALU ops,
+///      hash externs, params, field and register loads), the temps any of
+///      which being zero makes its result irrelevant: a select's true arm
+///      needs the condition, the later-defined operand of an `and` needs
+///      the earlier one (closed over `and` chains), a digest's payload
+///      needs the digest's condition.  Effects (stores, digests,
+///      dynamic-register ops) and the final def of every temp in
+///      `observable` always run.  Ops sharing a guard are scheduled into
+///      one run behind a skip-if-zero handler on it — never moving a
+///      register or field load across a store to the same array or field,
+///      nor any op across a def or use of a temp it touches — when the run
+///      is long enough to pay for the handler.  A program with no such run
+///      keeps its program order.
 /// `observable` is the union of every installed action's read-before-write
 /// set (see read_before_write): temps outside it are program-local and may
-/// be optimized away; temps inside it keep their final stores.  The result
-/// holds raw cell pointers: valid until the next RegisterFile::declare (the
-/// switch re-lowers on config_gen_ bump).
+/// be optimized away or skipped; temps inside it keep their final stores.
+/// A skipped op leaves its temp stale (the persistent scratch's previous
+/// value), which only ops that are themselves irrelevant can read.  The
+/// result holds raw cell pointers: valid until the next
+/// RegisterFile::declare (the switch re-lowers on config_gen_ bump).
 [[nodiscard]] ThreadedProgram threaded_compile(
     const Program& program, RegisterFile& registers,
     const std::bitset<kTempCount>& observable);

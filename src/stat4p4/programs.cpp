@@ -190,8 +190,11 @@ Program build_track_freq(const Stat4Registers& regs, const Stat4Config& cfg,
 
   // Outlier check: N * f[v] > Xsum + k*sd(NX) + N  (the +N is the integer
   // quantization slack, see stat4::FreqDist::frequency_outlier).  sd is
-  // computed here — at check time — which is the paper's lazy evaluation:
-  // entries with check disabled never pay for the MSB search.
+  // computed here — at check time — which is the paper's lazy evaluation.
+  // Straight-line code still spells out the MSB search on every packet: the
+  // interpreter and native tiers run it whether or not the entry checks;
+  // the threaded tier skips it while `check` is zero (every op it feeds
+  // only matters through `tripped`, a band with `check`).
   const TempId sd = b.approx_sqrt(u.var);
   const TempId ksd = scale_const(b, sd, cfg.k_sigma);
   const TempId thr = b.add(b.add(u.xsum, ksd), u.n);
@@ -358,8 +361,12 @@ Program build_window_tick(const Stat4Registers& regs, const Stat4Config& cfg,
 
   // Spike check against the *historical* distribution, before inserting the
   // finished interval (Section 4: "rate higher than the mean of the stored
-  // distribution plus two standard deviations").  sd computed lazily: only
-  // at interval boundaries, amortized over every packet of the interval.
+  // distribution plus two standard deviations").  sd, the checks and the
+  // eviction below only matter on the packet that rolls the interval: the
+  // stores keep the old values unless `rolled`.  The straight-line program
+  // computes them on every packet (so do the interpreter and native
+  // tiers); the threaded tier skips them while `rolled` is zero, which is
+  // what makes sd lazy there — one sqrt per interval.
   const TempId sd = b.approx_sqrt(var0);
   const TempId ksd = scale_const(b, sd, cfg.rate_k());
   const TempId thr = b.add(xs, ksd);
