@@ -174,9 +174,10 @@ void P4Switch::compile_pipeline() {
   }
   // The scratch context is zeroed per packet only up to the highest temp
   // ANY installed action reads before writing — bit-identical to zeroing
-  // the whole pool, because every other temp is (re)written before its
-  // first read, so a stale value from the previous packet can never flow
-  // into this one.
+  // the whole pool.  Every other temp is written before its first read,
+  // except where the threaded tier skips a guarded run: the skipped temps
+  // keep an earlier packet's values, and only ops whose results do not
+  // matter for this packet read them.
   std::bitset<kTempCount> observable;
   for (const Program& prog : actions_) {
     observable |= read_before_write(prog);
