@@ -9,6 +9,7 @@ const char* to_string(ExecTier tier) noexcept {
     case ExecTier::kInterpreter: return "interp";
     case ExecTier::kThreaded: return "threaded";
     case ExecTier::kNative: return "native";
+    case ExecTier::kReference: return "reference";
   }
   return "?";
 }
@@ -17,6 +18,7 @@ std::optional<ExecTier> parse_exec_tier(std::string_view name) noexcept {
   if (name == "interp" || name == "interpreter") return ExecTier::kInterpreter;
   if (name == "threaded") return ExecTier::kThreaded;
   if (name == "native" || name == "jit") return ExecTier::kNative;
+  if (name == "reference") return ExecTier::kReference;
   return std::nullopt;
 }
 

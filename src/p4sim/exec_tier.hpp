@@ -1,10 +1,11 @@
-// Execution-tier selection for the compiled p4sim fast path.
+// Execution-tier selection for a P4Switch pipeline.
 //
-// The fast path can run an installed pipeline at three tiers:
+// One walker (P4Switch::run_compiled) evaluates the stage guards, skips
+// no-op stages and looks tables up through their compiled entry caches; the
+// tier decides only how an action body runs:
 //
-//   kInterpreter — the dispatch-vector interpreter (action.cpp execute()):
-//                  a switch over Op per instruction.  The reference tier
-//                  every other tier is differentially tested against.
+//   kInterpreter — the op-by-op interpreter (action.cpp execute()): a
+//                  switch over Op per instruction.
 //   kThreaded    — threaded code: each action pre-decoded into a flat
 //                  stream of computed-goto handlers with pre-resolved
 //                  operands (register base pointers, folded masks), so the
@@ -15,6 +16,10 @@
 //                  (jit/transpiler.hpp, jit/engine.hpp).  Falls back to
 //                  kThreaded when no compiler is available or a program
 //                  cannot be transpiled.
+//   kReference   — the slow test oracle every other tier is differentially
+//                  tested against: its own walker with a fresh, fully
+//                  zeroed context per packet, linear table scans
+//                  (MatchActionTable::lookup_linear) and the interpreter.
 //
 // All tiers hook the same invalidation protocol: any configuration write
 // bumps config_gen_ and the next packet re-lowers the pipeline for the
@@ -32,9 +37,11 @@ enum class ExecTier : std::uint8_t {
   kInterpreter,
   kThreaded,
   kNative,
+  kReference,
 };
 
-/// Stable names: "interp", "threaded", "native" (CLI flag / stats values).
+/// Stable names: "interp", "threaded", "native", "reference" (CLI flag /
+/// stats values).
 [[nodiscard]] const char* to_string(ExecTier tier) noexcept;
 
 /// Parses a tier name; std::nullopt for anything unknown.
@@ -42,7 +49,7 @@ enum class ExecTier : std::uint8_t {
     std::string_view name) noexcept;
 
 /// The tier newly constructed switches start on: the STAT4_EXEC_TIER
-/// environment variable ("interp" / "threaded" / "native", read once per
+/// environment variable (any name parse_exec_tier accepts, read once per
 /// process — the CI per-tier legs use this) or kThreaded when unset or
 /// unparseable.
 [[nodiscard]] ExecTier default_exec_tier() noexcept;

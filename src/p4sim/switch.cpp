@@ -138,13 +138,14 @@ void P4Switch::compile_pipeline() {
   compiled_.reserve(pipeline_.size());
   invariant_guards_.clear();
   for (const Stage& stage : pipeline_) {
+    if (!stage.table && !stage.action) continue;  // nothing to run
     CompiledStage cs;
     if (stage.guard) {
       cs.guarded = true;
       cs.guard = *stage.guard;
       // Guards over non-writable fields (validity bits, ingress metadata)
       // are packet-invariant: no action can change them mid-pipeline, so
-      // the fast tiers evaluate each distinct guard once per packet.
+      // run_compiled evaluates each distinct guard once per packet.
       if (!field_info(cs.guard.field).writable) {
         std::size_t slot = invariant_guards_.size();
         for (std::size_t i = 0; i < invariant_guards_.size(); ++i) {
@@ -166,18 +167,16 @@ void P4Switch::compile_pipeline() {
     }
     if (stage.table) {
       cs.table = &tables_[*stage.table];
-    } else if (stage.action) {
-      cs.program = &actions_[*stage.action];
+    } else {
       cs.action = *stage.action;
     }
     compiled_.push_back(cs);
   }
   // The scratch context is zeroed per packet only up to the highest temp
-  // ANY installed action reads before writing — bit-identical to zeroing
-  // the whole pool.  Every other temp is written before its first read,
-  // except where the threaded tier skips a guarded run: the skipped temps
-  // keep an earlier packet's values, and only ops whose results do not
-  // matter for this packet read them.
+  // ANY installed action reads before writing.  Every other temp is written
+  // before its first read, except where the threaded tier skips a guarded
+  // run: the skipped temps keep an earlier packet's values, and only ops
+  // whose results do not matter for this packet read them.
   std::bitset<kTempCount> observable;
   for (const Program& prog : actions_) {
     observable |= read_before_write(prog);
@@ -189,20 +188,18 @@ void P4Switch::compile_pipeline() {
   if (!scratch_) scratch_ = std::make_unique<ExecutionContext>();
 
   // Lower the installed actions to the selected execution tier.  The
-  // threaded lowering always happens for the non-interpreter tiers: it is
-  // both the kThreaded program and the degradation target when the native
-  // compile cannot be used.
-  active_tier_ = ExecTier::kInterpreter;
+  // threaded lowering happens for the native tier too: it is the
+  // degradation target when the native compile cannot be used.
+  active_tier_ = exec_tier_;
   threaded_actions_.clear();
   reg_windows_.clear();
   jit_unit_.reset();
-  if (exec_tier_ != ExecTier::kInterpreter) {
+  if (exec_tier_ == ExecTier::kThreaded || exec_tier_ == ExecTier::kNative) {
     threaded_actions_.reserve(actions_.size());
     for (const Program& prog : actions_) {
       threaded_actions_.push_back(
           threaded_compile(prog, registers_, observable));
     }
-    active_tier_ = ExecTier::kThreaded;
   }
   if (exec_tier_ == ExecTier::kNative) {
     const jit::TranspileResult transpiled =
@@ -217,9 +214,8 @@ void P4Switch::compile_pipeline() {
               registers_.window(static_cast<RegisterId>(r));
           reg_windows_.push_back(jit::RegWindow{w.base, w.size, w.mask});
         }
-        active_tier_ = ExecTier::kNative;
-        // Everything except the per-packet view and digest sink is fixed
-        // for the lifetime of this compiled pipeline.
+        // Everything except the per-packet view, digest sink and action
+        // data is fixed for the lifetime of this compiled pipeline.
         jit_ctx_ = jit::Context{};
         jit_ctx_.temps = scratch_->temps.data();
         jit_ctx_.load_field = &jit_load_field_cb;
@@ -228,7 +224,8 @@ void P4Switch::compile_pipeline() {
         jit_ctx_.emit_digest = &jit_emit_digest_cb;
       }
     }
-    if (active_tier_ != ExecTier::kNative) {
+    if (!jit_unit_) {
+      active_tier_ = ExecTier::kThreaded;
       STAT4_TELEMETRY_ONLY(telemetry::MetricsRegistry::global()
                                .counter("p4sim.jit.fallbacks")
                                .add();)
@@ -237,10 +234,38 @@ void P4Switch::compile_pipeline() {
   compiled_gen_ = config_gen_;
 }
 
+template <typename Invoke>
+void P4Switch::run_compiled(const PacketView& view, Invoke&& invoke) {
+  std::fill_n(scratch_->temps.data(), scratch_words_, Word{0});
+  bool inv[kMaxInvariantGuards];
+  for (std::size_t i = 0; i < invariant_guards_.size(); ++i) {
+    inv[i] = invariant_guards_[i].holds(view);
+  }
+  for (const CompiledStage& cs : compiled_) {
+    if (cs.guarded) {
+      const bool ok = cs.guard_slot >= 0
+                          ? inv[static_cast<std::size_t>(cs.guard_slot)]
+                          : cs.guard.holds(view);
+      if (!ok) continue;
+    }
+    if (cs.table == nullptr) {
+      invoke(cs.action, nullptr, std::size_t{0});
+      continue;
+    }
+    if (stage_is_noop(*cs.table)) continue;
+    const MatchResult m = cs.table->lookup(view);
+    if (m.action >= actions_.size()) {
+      throw std::out_of_range("p4sim: unknown action id");
+    }
+    invoke(m.action, m.action_data.data(), m.action_data.size());
+  }
+}
+
 void P4Switch::run_pipeline_reference(PacketView& view, SwitchOutput& out,
                                       stat4::TimeNs now) {
   // The original interpreter: a fresh, fully zeroed context per packet and
-  // linear table scans.  This is the fast path's differential baseline.
+  // linear table scans.  ExecTier::kReference: the differential baseline of
+  // every other tier.
   ExecutionContext ctx;
   ctx.view = &view;
   ctx.registers = &registers_;
@@ -257,107 +282,6 @@ void P4Switch::run_pipeline_reference(PacketView& view, SwitchOutput& out,
     } else if (stage.action) {
       ctx.action_data = {};
       execute(actions_[*stage.action], ctx);
-    }
-  }
-}
-
-void P4Switch::run_pipeline_interp(PacketView& view, SwitchOutput& out,
-                                   stat4::TimeNs now) {
-  ExecutionContext& ctx = *scratch_;
-  std::fill_n(ctx.temps.data(), scratch_words_, Word{0});
-  ctx.view = &view;
-  ctx.registers = &registers_;
-  ctx.digests = &out.digests;
-  ctx.now = now;
-  bool inv[kMaxInvariantGuards];
-  for (std::size_t i = 0; i < invariant_guards_.size(); ++i) {
-    inv[i] = invariant_guards_[i].holds(view);
-  }
-  for (const CompiledStage& cs : compiled_) {
-    if (cs.guarded) {
-      const bool ok = cs.guard_slot >= 0
-                          ? inv[static_cast<std::size_t>(cs.guard_slot)]
-                          : cs.guard.holds(view);
-      if (!ok) continue;
-    }
-    if (cs.table != nullptr) {
-      if (stage_is_noop(*cs.table)) continue;
-      const MatchResult m = cs.table->lookup(view);
-      const Program& prog = actions_.at(m.action);
-      ctx.action_data = m.action_data;
-      execute(prog, ctx);
-    } else if (cs.program != nullptr) {
-      ctx.action_data = {};
-      execute(*cs.program, ctx);
-    }
-  }
-}
-
-void P4Switch::run_pipeline_threaded(PacketView& view, SwitchOutput& out,
-                                     stat4::TimeNs now) {
-  ExecutionContext& ctx = *scratch_;
-  std::fill_n(ctx.temps.data(), scratch_words_, Word{0});
-  ThreadedState st;
-  st.temps = ctx.temps.data();
-  st.view = &view;
-  st.registers = &registers_;
-  st.digests = &out.digests;
-  st.now = now;
-  bool inv[kMaxInvariantGuards];
-  for (std::size_t i = 0; i < invariant_guards_.size(); ++i) {
-    inv[i] = invariant_guards_[i].holds(view);
-  }
-  for (const CompiledStage& cs : compiled_) {
-    if (cs.guarded) {
-      const bool ok = cs.guard_slot >= 0
-                          ? inv[static_cast<std::size_t>(cs.guard_slot)]
-                          : cs.guard.holds(view);
-      if (!ok) continue;
-    }
-    if (cs.table != nullptr) {
-      if (stage_is_noop(*cs.table)) continue;
-      const MatchResult m = cs.table->lookup(view);
-      const ThreadedProgram& prog = threaded_actions_.at(m.action);
-      st.action_data = m.action_data.data();
-      st.action_data_len = m.action_data.size();
-      threaded_execute(prog, st);
-    } else if (cs.program != nullptr) {
-      st.action_data = nullptr;
-      st.action_data_len = 0;
-      threaded_execute(threaded_actions_[cs.action], st);
-    }
-  }
-}
-
-void P4Switch::run_pipeline_native(PacketView& view, SwitchOutput& out,
-                                   stat4::TimeNs now) {
-  std::fill_n(scratch_->temps.data(), scratch_words_, Word{0});
-  JitDigestSink sink{&out.digests, now};
-  jit::Context& jc = jit_ctx_;
-  jc.view = &view;
-  jc.digest_sink = &sink;
-  const std::vector<jit::ActionFn>& fns = jit_unit_->actions();
-  bool inv[kMaxInvariantGuards];
-  for (std::size_t i = 0; i < invariant_guards_.size(); ++i) {
-    inv[i] = invariant_guards_[i].holds(view);
-  }
-  for (const CompiledStage& cs : compiled_) {
-    if (cs.guarded) {
-      const bool ok = cs.guard_slot >= 0
-                          ? inv[static_cast<std::size_t>(cs.guard_slot)]
-                          : cs.guard.holds(view);
-      if (!ok) continue;
-    }
-    if (cs.table != nullptr) {
-      if (stage_is_noop(*cs.table)) continue;
-      const MatchResult m = cs.table->lookup(view);
-      jc.action_data = m.action_data.data();
-      jc.action_data_len = m.action_data.size();
-      fns.at(m.action)(&jc);
-    } else if (cs.program != nullptr) {
-      jc.action_data = nullptr;
-      jc.action_data_len = 0;
-      fns[cs.action](&jc);
     }
   }
 }
@@ -382,21 +306,50 @@ void P4Switch::process_into(Packet pkt, SwitchOutput& out) {
   view.meta_packet_length = pkt.size();
   view.meta_egress_spec = 0;  // default drop, like bmv2's mark_to_drop
 
-  if (fast_path_) {
-    if (compiled_gen_ != config_gen_) compile_pipeline();
-    switch (active_tier_) {
-      case ExecTier::kInterpreter:
-        run_pipeline_interp(view, out, pkt.ingress_ts);
-        break;
-      case ExecTier::kThreaded:
-        run_pipeline_threaded(view, out, pkt.ingress_ts);
-        break;
-      case ExecTier::kNative:
-        run_pipeline_native(view, out, pkt.ingress_ts);
-        break;
+  if (compiled_gen_ != config_gen_) compile_pipeline();
+  const stat4::TimeNs now = pkt.ingress_ts;
+  switch (active_tier_) {
+    case ExecTier::kInterpreter: {
+      ExecutionContext& ctx = *scratch_;
+      ctx.view = &view;
+      ctx.registers = &registers_;
+      ctx.digests = &out.digests;
+      ctx.now = now;
+      run_compiled(view, [&](ActionId a, const Word* data, std::size_t len) {
+        ctx.action_data = {data, len};
+        execute(actions_[a], ctx);
+      });
+      break;
     }
-  } else {
-    run_pipeline_reference(view, out, pkt.ingress_ts);
+    case ExecTier::kThreaded: {
+      ThreadedState st;
+      st.temps = scratch_->temps.data();
+      st.view = &view;
+      st.registers = &registers_;
+      st.digests = &out.digests;
+      st.now = now;
+      run_compiled(view, [&](ActionId a, const Word* data, std::size_t len) {
+        st.action_data = data;
+        st.action_data_len = len;
+        threaded_execute(threaded_actions_[a], st);
+      });
+      break;
+    }
+    case ExecTier::kNative: {
+      JitDigestSink sink{&out.digests, now};
+      jit_ctx_.view = &view;
+      jit_ctx_.digest_sink = &sink;
+      const std::vector<jit::ActionFn>& fns = jit_unit_->actions();
+      run_compiled(view, [&](ActionId a, const Word* data, std::size_t len) {
+        jit_ctx_.action_data = data;
+        jit_ctx_.action_data_len = len;
+        fns[a](&jit_ctx_);
+      });
+      break;
+    }
+    case ExecTier::kReference:
+      run_pipeline_reference(view, out, now);
+      break;
   }
 
   digests_emitted_ += out.digests.size();

@@ -73,15 +73,15 @@ class P4Switch {
   // ---- IR mutation (the optimizer's rewrite hooks) ------------------------
   /// Replaces a registered action's program in place — how the dataflow
   /// optimizer installs a rewritten body.  The new program is validated
-  /// against the ALU profile and config_gen_ is bumped so the compiled fast
-  /// path rebuilds its dispatch vector and scratch sizing (a stale
+  /// against the ALU profile and config_gen_ is bumped so the compiled
+  /// pipeline rebuilds its dispatch vector and scratch sizing (a stale
   /// scratch_words_ over a rewritten program would read beyond the zeroed
   /// prefix).
   void replace_action(ActionId id, Program program);
   /// Replaces the whole pipeline (stage packing).  Every referenced table /
   /// action id must already exist.
   void set_pipeline(std::vector<Stage> stages);
-  /// How many times the fast-path dispatch vector has been rebuilt — the
+  /// How many times the pipeline has been compiled (compile_pipeline) — the
   /// observable that regression tests use to prove in-place rewrites
   /// invalidate the compiled pipeline.
   [[nodiscard]] std::uint64_t pipeline_compile_count() const noexcept {
@@ -96,26 +96,18 @@ class P4Switch {
   /// per-packet path).  `out` is cleared first.
   void process_into(Packet pkt, SwitchOutput& out);
 
-  /// The compiled fast path (default ON) pre-resolves the steady-state
-  /// parse → match → action chain: pipeline stages are flattened into a
-  /// dispatch vector of raw table/program pointers, tables use their
-  /// compiled entry caches, and action programs run over a persistent
-  /// scratch context whose temps are zeroed only up to the highest temp any
-  /// installed action touches (instead of zeroing the full 16KB PHV pool
-  /// per packet).  The dispatch vector is rebuilt whenever program
-  /// configuration changes; table writes invalidate per-table caches.
-  /// OFF runs the reference interpreter: per-packet fresh zeroed context
-  /// and linear table scans — bit-identical output, kept as the
-  /// differential baseline (tests/p4sim_fastpath_test.cpp).
-  void set_fast_path(bool on) noexcept { fast_path_ = on; }
-  [[nodiscard]] bool fast_path() const noexcept { return fast_path_; }
-
-  /// Which execution tier the fast path lowers installed actions to (see
-  /// exec_tier.hpp).  Orthogonal to set_fast_path: with the fast path OFF
-  /// the reference interpreter runs regardless of the tier.  Switching
-  /// tiers bumps config_gen_ so the next packet re-lowers the pipeline.
-  /// New switches start on default_exec_tier() (STAT4_EXEC_TIER env or
-  /// threaded).
+  /// Which execution tier runs the pipeline (see exec_tier.hpp).  Every
+  /// tier but kReference shares one compiled walker: pipeline stages are
+  /// flattened into a dispatch vector of table pointers and action ids, tables
+  /// use their compiled entry caches, and action programs run over a
+  /// persistent scratch context whose temps are zeroed only up to the
+  /// highest temp any installed action reads before writing (instead of
+  /// zeroing the full 16KB PHV pool per packet).  kReference runs the
+  /// original walker instead: a fresh zeroed context per packet and linear
+  /// table scans — bit-identical output, kept as the differential baseline
+  /// (tests/p4sim_fastpath_test.cpp).  Switching tiers bumps config_gen_ so
+  /// the next packet re-lowers the pipeline.  New switches start on
+  /// default_exec_tier() (STAT4_EXEC_TIER env or threaded).
   void set_exec_tier(ExecTier tier) noexcept {
     if (exec_tier_ != tier) {
       exec_tier_ = tier;
@@ -161,21 +153,21 @@ class P4Switch {
   }
 
  private:
-  /// One pre-resolved pipeline stage: raw pointers into tables_/actions_,
-  /// the guard flattened out of std::optional.  Valid until the next
-  /// configuration change (config_gen_ bump).
+  /// One pre-resolved pipeline stage: a raw pointer into tables_ or the
+  /// direct-program stage's action id, the guard flattened out of
+  /// std::optional.  Valid until the next configuration change (config_gen_
+  /// bump).
   struct CompiledStage {
     Guard guard{};
     bool guarded = false;
     /// Index into invariant_guards_ when the guard reads a non-writable
     /// field (validity bits, ingress metadata): such guards cannot change
-    /// while a packet traverses the pipeline, so the fast tiers evaluate
+    /// while a packet traverses the pipeline, so run_compiled evaluates
     /// each distinct one once per packet instead of once per stage.
     /// -1 when the guard field is writable and must be re-evaluated.
     std::int8_t guard_slot = -1;
     MatchActionTable* table = nullptr;  ///< table stage when non-null
-    const Program* program = nullptr;   ///< direct-program stage otherwise
-    ActionId action = 0;  ///< the direct-program stage's action id
+    ActionId action = 0;  ///< the direct-program stage's action otherwise
   };
 
   /// Cap on distinct packet-invariant guards tracked per pipeline; stages
@@ -184,10 +176,10 @@ class P4Switch {
 
   /// A table stage with no live entries whose default action's program is
   /// empty cannot affect the packet, the registers, or the digest stream —
-  /// the fast tiers skip its lookup+dispatch.  Checked per packet because
+  /// run_compiled skips its lookup+dispatch.  Checked per packet because
   /// entries and the default action mutate at runtime without a
   /// config_gen_ bump.  An out-of-range default ActionId falls through to
-  /// the normal path so the interpreter's .at() throw is preserved.
+  /// the lookup so the unknown-action throw is preserved.
   [[nodiscard]] bool stage_is_noop(const MatchActionTable& t) const {
     if (!t.default_only()) return false;
     const ActionId d = t.default_action();
@@ -195,14 +187,15 @@ class P4Switch {
   }
 
   void compile_pipeline();
+  /// The compiled walker every tier but kReference runs: zeroes the scratch
+  /// prefix, evaluates the invariant guards once and writable guards per
+  /// stage, skips no-op stages, looks tables up through their compiled
+  /// caches and throws std::out_of_range on an unknown action id.  The tier
+  /// runs each action body through `invoke(action, data, length)`.
+  template <typename Invoke>
+  void run_compiled(const PacketView& view, Invoke&& invoke);
   void run_pipeline_reference(PacketView& view, SwitchOutput& out,
                               stat4::TimeNs now);
-  void run_pipeline_interp(PacketView& view, SwitchOutput& out,
-                           stat4::TimeNs now);
-  void run_pipeline_threaded(PacketView& view, SwitchOutput& out,
-                             stat4::TimeNs now);
-  void run_pipeline_native(PacketView& view, SwitchOutput& out,
-                           stat4::TimeNs now);
 
   std::string name_;
   AluProfile profile_;
@@ -212,19 +205,20 @@ class P4Switch {
   std::vector<Stage> pipeline_;
   std::uint64_t packets_processed_ = 0;
   std::uint64_t digests_emitted_ = 0;
-  // Compiled fast path state (see set_fast_path).
-  bool fast_path_ = true;
+  // Compiled pipeline state (see set_exec_tier).
   std::uint64_t config_gen_ = 1;    ///< bumped by any program/pipeline write
   std::uint64_t compiled_gen_ = 0;  ///< config_gen_ the dispatch vector matches
   std::uint64_t pipeline_compiles_ = 0;  ///< compile_pipeline() invocations
   std::vector<CompiledStage> compiled_;
   /// Distinct guards over non-writable fields, deduplicated across stages;
-  /// the fast tiers evaluate these once per packet (see
+  /// run_compiled evaluates these once per packet (see
   /// CompiledStage::guard_slot).
   std::vector<Guard> invariant_guards_;
   /// Zeroed prefix of the scratch temps per packet: 1 + the highest temp
-  /// any installed action reads before writing.  Bit-identical to zeroing
-  /// the whole pool — every other temp is written before its first read.
+  /// any installed action reads before writing.  Every other temp is
+  /// written before its first read, except the temps of a guarded run the
+  /// threaded tier skips: those keep an earlier packet's values, which only
+  /// ops whose results this packet does not use read.
   std::size_t scratch_words_ = 0;
   std::unique_ptr<ExecutionContext> scratch_;  ///< persistent PHV scratch
   // Execution-tier state, rebuilt by compile_pipeline() (see exec_tier.hpp).
@@ -235,7 +229,8 @@ class P4Switch {
   std::shared_ptr<const jit::CompiledUnit> jit_unit_;
   /// Pre-filled native-tier ABI context: the compile-constant fields
   /// (temps/callbacks/register windows) are set once by compile_pipeline();
-  /// run_pipeline_native() only patches the per-packet view and sink.
+  /// the native invoker only patches the per-packet view, sink and action
+  /// data.
   jit::Context jit_ctx_;
 };
 

@@ -92,7 +92,7 @@ class MatchActionTable {
 
   /// The reference lookup: the original full scoring scan over live
   /// entries, no caching.  Kept as the differential baseline for the
-  /// compiled path (and used by P4Switch when the fast path is disabled).
+  /// compiled path (and used by P4Switch's ExecTier::kReference walker).
   [[nodiscard]] MatchResult lookup_linear(const PacketView& view) const;
 
   /// How many times the compiled entry cache has been (re)built — lets

@@ -633,7 +633,6 @@ TEST(PassManager, CostJsonSchema) {
 
 TEST(FastPath, RecompilesAfterInPlaceRewrite) {
   auto sw = analysis::build_example_mutable("echo");
-  sw->set_fast_path(true);
 
   (void)sw->process(p4sim::make_echo_packet(1));
   (void)sw->process(p4sim::make_echo_packet(2));

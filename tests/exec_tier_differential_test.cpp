@@ -1,11 +1,14 @@
 // Execution-tier differential replay: every catalog app must produce
 // BIT-EXACT output on every execution tier (interpreter / threaded /
-// native) against the reference interpreter — same forwarded packets (port
+// native) against the kReference walker — same forwarded packets (port
 // and bytes), same drops, same digests, same final register state — through
 // both the scalar process() drive and the batched process_into() drive
 // FleetRunner workers use.  A second suite applies mid-stream table
 // mutations and config_gen_ bumps, proving the tiers' invalidation protocol
-// (re-lowering on the next packet) never perturbs results.
+// (re-lowering on the next packet) never perturbs results, and replays
+// pipelines that exercise the compiled walker's branches no catalog app
+// reaches: guards past the invariant-slot cap, a guard on a field an
+// earlier stage writes, and table actions naming an unknown action id.
 //
 // The native tier degrades to threaded when no host compiler is available;
 // the replay is still a valid differential (that IS the shipping behavior),
@@ -15,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -27,9 +31,13 @@
 namespace {
 
 using p4sim::ExecTier;
+using p4sim::FieldRef;
+using p4sim::Guard;
 using p4sim::ipv4;
 using p4sim::P4Switch;
 using p4sim::Packet;
+using p4sim::ProgramBuilder;
+using p4sim::TempId;
 
 Packet random_packet(std::mt19937_64& rng, stat4::TimeNs ts) {
   // Mix of traffic every app's matchers see: echo frames, TCP with and
@@ -98,16 +106,15 @@ void expect_same_registers(const P4Switch& ref, const P4Switch& got,
 
 const char* tier_tag(ExecTier tier) { return p4sim::to_string(tier); }
 
-/// Replays 800 packets through the reference interpreter (fast path OFF)
-/// and a tiered twin, comparing per-packet output and the full final
+/// Replays 800 packets through the reference walker (kReference) and a
+/// tiered twin, comparing per-packet output and the full final
 /// register state.  `batched` drives the twin the way FleetRunner workers
 /// do: process_into() with one SwitchOutput whose vectors are reused.
 void replay_tier(const std::string& app, ExecTier tier, bool batched,
                  std::uint64_t seed = 42, int packets = 800) {
   const std::shared_ptr<P4Switch> ref = analysis::build_example_mutable(app);
   const std::shared_ptr<P4Switch> got = analysis::build_example_mutable(app);
-  ref->set_fast_path(false);
-  got->set_fast_path(true);
+  ref->set_exec_tier(ExecTier::kReference);
   got->set_exec_tier(tier);
 
   const std::string what = app + " (" + tier_tag(tier) + ", " +
@@ -200,8 +207,7 @@ TEST_P(ExecTierMutation, SurvivesMidStreamMutations) {
   stat4p4::MonitorApp got_app;
   configure_case_study(ref_app);
   configure_case_study(got_app);
-  ref_app.sw().set_fast_path(false);
-  got_app.sw().set_fast_path(true);
+  ref_app.sw().set_exec_tier(ExecTier::kReference);
   got_app.sw().set_exec_tier(tier);
 
   const std::string what = std::string("case_study mutated (") +
@@ -236,6 +242,127 @@ TEST_P(ExecTierMutation, SurvivesMidStreamMutations) {
   EXPECT_GT(got_app.sw().pipeline_compile_count(), compiles_before_bump)
       << what << ": config_gen_ bump did not trigger re-lowering";
   expect_same_registers(ref_app.sw(), got_app.sw(), what);
+}
+
+// ---- walker branches no catalog app reaches -------------------------------
+
+/// Replays 400 packets with ingress ports drawn from [0, ports) through a
+/// kReference switch and a twin on `tier`, both made by `build`, comparing
+/// per-packet output and the final registers.
+template <typename Build>
+void replay_ports(const Build& build, ExecTier tier, unsigned ports,
+                  const std::string& what) {
+  const std::unique_ptr<P4Switch> ref = build();
+  const std::unique_ptr<P4Switch> got = build();
+  ref->set_exec_tier(ExecTier::kReference);
+  got->set_exec_tier(tier);
+  std::mt19937_64 rng(3);
+  for (int i = 0; i < 400; ++i) {
+    Packet pkt = random_packet(rng, i);
+    pkt.ingress_port = static_cast<p4sim::PortId>(rng() % ports);
+    Packet twin = pkt;
+    const auto out_ref = ref->process(std::move(pkt));
+    const auto out_got = got->process(std::move(twin));
+    expect_same_output(out_ref, out_got,
+                       what + " packet " + std::to_string(i));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  expect_same_registers(*ref, *got, what);
+}
+
+Guard guard_on(FieldRef field, Guard::Cmp cmp, p4sim::Word value) {
+  Guard g;
+  g.field = field;
+  g.cmp = cmp;
+  g.value = value;
+  return g;
+}
+
+TEST_P(ExecTierMutation, GuardsPastInvariantSlotCapStayBitExact) {
+  // 20 stages guarded on distinct ingress ports, past the 16 invariant
+  // guard slots: the last 4 guards get no slot and are evaluated per stage.
+  // Each stage counts its port and forwards to a port of its own.
+  constexpr unsigned kStages = 20;
+  const auto build = [] {
+    auto sw = std::make_unique<P4Switch>("many_guards");
+    const p4sim::RegisterId hits = sw->declare_register("hits", kStages);
+    for (unsigned port = 0; port < kStages; ++port) {
+      ProgramBuilder b("port" + std::to_string(port));
+      const TempId cell = b.konst(port);
+      b.store_reg(hits, cell, b.add(b.load_reg(hits, cell), b.konst(1)));
+      b.store_field(FieldRef::kMetaEgressSpec, b.konst(port + 2));
+      sw->add_program_stage(
+          sw->add_action(b.take()),
+          guard_on(FieldRef::kMetaIngressPort, Guard::Cmp::kEq, port));
+    }
+    return sw;
+  };
+  replay_ports(build, GetParam(), kStages + 4,
+               std::string("20 port guards (") + tier_tag(GetParam()) + ")");
+}
+
+TEST_P(ExecTierMutation, WritableGuardIsReevaluatedPerStage) {
+  // Stage 1 forwards ingress ports 0-3 and drops the rest by writing
+  // meta.egress_spec; stages 2 and 3 are guarded on that field, so their
+  // guards must read stage 1's write, not the packet-entry value (0).
+  const auto build = [] {
+    auto sw = std::make_unique<P4Switch>("writable_guard");
+    const p4sim::RegisterId seen = sw->declare_register("seen", 2);
+
+    ProgramBuilder route("route");
+    const TempId port = route.load_field(FieldRef::kMetaIngressPort);
+    route.store_field(FieldRef::kMetaEgressSpec,
+                      route.select(route.lt(port, route.konst(4)),
+                                   route.add(port, route.konst(1)),
+                                   route.konst(0)));
+    sw->add_program_stage(sw->add_action(route.take()));
+
+    for (const bool forwarded : {true, false}) {
+      ProgramBuilder b(forwarded ? "count_forwarded" : "count_dropped");
+      const TempId cell = b.konst(forwarded ? 0 : 1);
+      b.store_reg(seen, cell, b.add(b.load_reg(seen, cell), b.konst(1)));
+      if (forwarded) {
+        b.store_field(FieldRef::kMetaEgressSpec,
+                      b.add(b.load_field(FieldRef::kMetaEgressSpec),
+                            b.konst(10)));
+      }
+      sw->add_program_stage(
+          sw->add_action(b.take()),
+          guard_on(FieldRef::kMetaEgressSpec,
+                   forwarded ? Guard::Cmp::kNe : Guard::Cmp::kEq, 0));
+    }
+    return sw;
+  };
+  replay_ports(build, GetParam(), 8,
+               std::string("egress guard (") + tier_tag(GetParam()) + ")");
+}
+
+TEST_P(ExecTierMutation, UnknownActionIdThrowsOutOfRange) {
+  // A table entry and a default action that name action ids no add_action
+  // returned: a packet resolving to either throws std::out_of_range, on
+  // the reference walker and on every tier alike.
+  for (const ExecTier tier : {ExecTier::kReference, GetParam()}) {
+    P4Switch sw("unknown_action");
+    ProgramBuilder b("forward");
+    b.store_field(FieldRef::kMetaEgressSpec, b.konst(2));
+    const p4sim::ActionId forward = sw.add_action(b.take());
+    const p4sim::TableId t = sw.add_table(
+        "t", {p4sim::KeySpec{FieldRef::kIpv4Dst, p4sim::MatchKind::kExact}});
+    p4sim::TableEntry hit;
+    hit.key = {p4sim::KeyMatch{}};
+    hit.key[0].value = ipv4(10, 0, 0, 1);
+    hit.action = forward + 7;
+    (void)sw.table(t).insert(hit);
+    sw.table(t).set_default_action(forward + 9, {});
+    sw.add_table_stage(t);
+    sw.set_exec_tier(tier);
+    for (const std::uint32_t dst : {ipv4(10, 0, 0, 1), ipv4(10, 0, 0, 2)}) {
+      EXPECT_THROW((void)sw.process(p4sim::make_udp_packet(ipv4(1, 1, 1, 1),
+                                                           dst, 1, 2)),
+                   std::out_of_range)
+          << tier_tag(tier) << (dst == ipv4(10, 0, 0, 1) ? " hit" : " miss");
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTiers, ExecTierMutation,

@@ -2,7 +2,7 @@
 // BIT-EXACT against its unoptimized twin on identical packet streams — same
 // forwarded packets (port and bytes), same drops, same digests, same final
 // register state — with the optimized pipeline exercised both through the
-// reference interpreter and through the compiled fast path.  A second suite
+// reference tier and through the process-default compiled tier.  A second suite
 // replays the Section 4 case study with mid-stream table mutations applied
 // identically to both switches, which is exactly the situation the
 // pass framework's "any future table configuration" doctrine must survive.
@@ -21,6 +21,7 @@
 
 namespace {
 
+using p4sim::ExecTier;
 using p4sim::ipv4;
 using p4sim::P4Switch;
 using p4sim::Packet;
@@ -90,15 +91,15 @@ void expect_same_registers(const P4Switch& ref, const P4Switch& got,
   }
 }
 
-/// Replays `packets` through the reference switch (interpreter) and an
-/// optimized twin (interpreter or fast path), comparing per-packet output
-/// and the full final register state.
-void replay(const std::string& app, bool optimized_fast_path,
+/// Replays `packets` through the reference switch (kReference) and an
+/// optimized twin on `optimized_tier`, comparing per-packet output and the
+/// full final register state.
+void replay(const std::string& app, ExecTier optimized_tier,
             std::uint64_t seed = 42, int packets = 800) {
   const std::shared_ptr<P4Switch> ref = analysis::build_example_mutable(app);
   const std::shared_ptr<P4Switch> opt = analysis::build_example_mutable(app);
-  ref->set_fast_path(false);
-  opt->set_fast_path(optimized_fast_path);
+  ref->set_exec_tier(ExecTier::kReference);
+  opt->set_exec_tier(optimized_tier);
 
   const analysis::OptimizeResult result = analysis::optimize_switch(*opt);
   EXPECT_TRUE(result.fixpoint) << app;
@@ -106,7 +107,7 @@ void replay(const std::string& app, bool optimized_fast_path,
       << app;
 
   const std::string what =
-      app + (optimized_fast_path ? " (fast path)" : " (interpreter)");
+      app + " (" + p4sim::to_string(optimized_tier) + ")";
   std::mt19937_64 rng(seed);
   std::mt19937_64 rng_twin(seed);
   for (int i = 0; i < packets; ++i) {
@@ -123,11 +124,11 @@ class OptimizerDifferential
     : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(OptimizerDifferential, InterpreterBitExact) {
-  replay(GetParam(), /*optimized_fast_path=*/false);
+  replay(GetParam(), ExecTier::kReference);
 }
 
 TEST_P(OptimizerDifferential, FastPathBitExact) {
-  replay(GetParam(), /*optimized_fast_path=*/true);
+  replay(GetParam(), p4sim::default_exec_tier());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -166,8 +167,7 @@ TEST(OptimizerDifferential, SurvivesMidStreamTableMutations) {
   stat4p4::MonitorApp opt_app;
   configure_case_study(ref_app);
   configure_case_study(opt_app);
-  ref_app.sw().set_fast_path(false);
-  opt_app.sw().set_fast_path(true);
+  ref_app.sw().set_exec_tier(ExecTier::kReference);
 
   const auto result = analysis::optimize_switch(opt_app.sw());
   EXPECT_TRUE(result.changed());

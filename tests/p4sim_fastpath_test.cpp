@@ -1,8 +1,8 @@
 // Differential test: the compiled fast path ≡ the reference interpreter.
 //
 // Two identically configured switches — one with the compiled dispatch
-// vector / compiled table caches (the default), one forced onto the
-// reference path (per-packet fresh context, linear table scans) — are fed
+// vector / compiled table caches (the default), one on ExecTier::kReference
+// (per-packet fresh context, linear table scans) — are fed
 // the same randomized stream while the controller rewrites table state
 // mid-stream (insert / modify / remove / set_default_action).  Every
 // output (forwarded packets, ports, drops, digests, register state) must
@@ -128,8 +128,8 @@ TEST(P4FastPath, MatchesReferenceAcrossMidStreamTableWrites) {
   P4Switch ref("ref");
   const Fixture ff = configure(fast);
   const Fixture rf = configure(ref);
-  ASSERT_TRUE(fast.fast_path());
-  ref.set_fast_path(false);
+  ASSERT_NE(fast.exec_tier(), ExecTier::kReference);
+  ref.set_exec_tier(ExecTier::kReference);
 
   // Seed routes: two nested prefixes (LPM tie-break matters) + a host route.
   for (P4Switch* sw : {&fast, &ref}) {
@@ -206,6 +206,8 @@ TEST(P4FastPath, MatchesReferenceAcrossMidStreamTableWrites) {
 }
 
 TEST(P4FastPath, TogglingFastPathMidStreamIsSeamless) {
+  // Switches between the compiled default tier and kReference every 100
+  // packets; each switch re-lowers the pipeline on the next packet.
   P4Switch sw("toggle");
   const Fixture f = configure(sw);
   sw.table(f.lpm).insert(lpm_entry(ipv4(10, 0, 0, 0), 8, f.fwd, {2}));
@@ -213,11 +215,15 @@ TEST(P4FastPath, TogglingFastPathMidStreamIsSeamless) {
   P4Switch ref("ref");
   const Fixture rf = configure(ref);
   ref.table(rf.lpm).insert(lpm_entry(ipv4(10, 0, 0, 0), 8, rf.fwd, {2}));
-  ref.set_fast_path(false);
+  ref.set_exec_tier(ExecTier::kReference);
 
   std::mt19937_64 rng(7);
   for (std::size_t i = 0; i < 600; ++i) {
-    if (i % 100 == 0) sw.set_fast_path(!sw.fast_path());
+    if (i % 100 == 0) {
+      sw.set_exec_tier(sw.exec_tier() == ExecTier::kReference
+                           ? default_exec_tier()
+                           : ExecTier::kReference);
+    }
     const std::uint32_t dst =
         0x0A000000u | static_cast<std::uint32_t>(rng() % 0xFFFF);
     Packet pkt = make_udp_packet(1, dst, 5, 6);
@@ -228,6 +234,20 @@ TEST(P4FastPath, TogglingFastPathMidStreamIsSeamless) {
   }
   EXPECT_EQ(sw.registers().read(f.counter, 0),
             ref.registers().read(rf.counter, 0));
+}
+
+TEST(P4FastPath, ReferenceTierIsSelectableByName) {
+  ASSERT_EQ(parse_exec_tier("reference"), ExecTier::kReference);
+  EXPECT_STREQ(to_string(ExecTier::kReference), "reference");
+  P4Switch sw("named");
+  const Fixture f = configure(sw);
+  sw.table(f.lpm).insert(lpm_entry(ipv4(10, 0, 0, 0), 8, f.fwd, {2}));
+  sw.set_exec_tier(ExecTier::kReference);
+  const SwitchOutput out =
+      sw.process(make_udp_packet(1, ipv4(10, 0, 0, 1), 5, 6));
+  ASSERT_EQ(out.packets.size(), 1u);
+  EXPECT_EQ(out.packets[0].first, 1);
+  EXPECT_EQ(sw.active_tier(), ExecTier::kReference);
 }
 
 TEST(P4FastPath, LateStageAdditionRebuildsDispatchVector) {

@@ -400,7 +400,7 @@ long double proven_units(const analysis::ErrorBound& b) {
 void replay_app(const std::string& app, std::uint64_t seed) {
   const std::shared_ptr<const P4Switch> sw = analysis::build_example(app);
   const std::shared_ptr<P4Switch> twin = analysis::build_example_mutable(app);
-  twin->set_fast_path(false);
+  twin->set_exec_tier(p4sim::ExecTier::kReference);
 
   Oracle oracle(*sw);
   std::mt19937_64 rng(seed);

@@ -3,7 +3,8 @@
 // programs, BIT-EXACT over 800-packet random streams — per-packet digests
 // AND the final register image — across every ingestion mode the runtime
 // uses: scalar process() vs batched process_into() with a reused output
-// (the worker drain loop), each with the compiled fast path on and off.
+// (the worker drain loop), each on the process-default tier and on the
+// kReference walker.
 // Mirrors optimizer_differential_test.cpp, but the reference here is the
 // plain C++ form rather than an unoptimized twin: passing is what licenses
 // the controller side (snapshots, network-wide merge) to treat the C++
@@ -83,12 +84,12 @@ void expect_same_digests(const std::vector<p4sim::Digest>& got,
 }
 
 struct Leg {
-  bool fast_path = false;
-  bool batched = false;  ///< process_into() with a reused SwitchOutput
+  bool compiled = false;  ///< the process-default tier, else kReference
+  bool batched = false;   ///< process_into() with a reused SwitchOutput
 
   [[nodiscard]] std::string name() const {
     return std::string(batched ? "batch" : "scalar") +
-           (fast_path ? "+fastpath" : "+interp");
+           (compiled ? "+fastpath" : "+interp");
   }
 };
 
@@ -102,7 +103,8 @@ const Leg kLegs[] = {{false, false}, {true, false}, {false, true},
 template <typename Monitor>
 std::size_t replay(sketch::SketchApp& app, Monitor& mirror, const Leg& leg,
                    const std::vector<Event>& events) {
-  app.sw().set_fast_path(leg.fast_path);
+  app.sw().set_exec_tier(leg.compiled ? p4sim::default_exec_tier()
+                                      : p4sim::ExecTier::kReference);
   p4sim::SwitchOutput reused;
   std::size_t fired = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {

@@ -185,7 +185,7 @@ TEST(GuardedRuns, RandomIrMatchesInterpreterAcrossPacketStreams) {
     Program first;
     const auto ref = fuzz_switch(seed, opt, &first);
     const auto got = fuzz_switch(seed, opt, nullptr);
-    ref->set_fast_path(false);  // reference interpreter: fresh temps
+    ref->set_exec_tier(ExecTier::kReference);  // fresh temps per packet
     got->set_exec_tier(ExecTier::kThreaded);
     if (p4sim::threaded_compile(first, got->registers(), observable_of(*got))
             .guarded_ops > 0) {
@@ -256,7 +256,7 @@ TEST(GuardedRuns, DefReadByAnotherActionStaysUnconditional) {
   for (const Word on_value : {Word{0}, Word{1}}) {
     const auto ref = build({on_value});
     const auto got = build({on_value});
-    ref->set_fast_path(false);
+    ref->set_exec_tier(ExecTier::kReference);
     got->set_exec_tier(ExecTier::kThreaded);
     // The run exists, but the shared def and everything it needs run first.
     const p4sim::ThreadedProgram lowered = lower_action(*got, "produce");
@@ -338,7 +338,7 @@ TEST(GuardedRuns, GuardTempRewrittenAfterItsRunOpensKeepsItsValue) {
   };
   const auto ref = build();
   const auto got = build();
-  ref->set_fast_path(false);
+  ref->set_exec_tier(ExecTier::kReference);
   got->set_exec_tier(ExecTier::kThreaded);
   ASSERT_GT(lower_action(*got, "reused_guard").guarded_ops, 0u);
   std::mt19937_64 rng(5);
@@ -370,7 +370,7 @@ TEST(GuardedRuns, AlternatingGuardStaysBitExactWithoutStaleTemps) {
   };
   const auto ref = build();
   const auto got = build();
-  ref->sw().set_fast_path(false);
+  ref->sw().set_exec_tier(ExecTier::kReference);
   got->sw().set_exec_tier(ExecTier::kThreaded);
   ASSERT_GE(lower_action(got->sw(), "window_tick").guarded_ops, 60u);
   // Per interval, a burst whose size swings from 1 to 40 packets, so the

@@ -295,7 +295,7 @@ int main(int argc, char** argv) {
       const auto parsed = p4sim::parse_exec_tier(name);
       if (!parsed) {
         std::cerr << "stat4_cli: bad --exec-tier '" << name
-                  << "' (interp, threaded, native)\n";
+                  << "' (interp, threaded, native, reference)\n";
         return 2;
       }
       exec_tier = *parsed;
@@ -310,7 +310,7 @@ int main(int argc, char** argv) {
       if (metrics_interval_ms == 0) metrics_interval_ms = 1;
     } else {
       std::cerr << "usage: stat4_cli [--threads N] [--batch-size N] [--ml] "
-                   "[--exec-tier {interp,threaded,native}] "
+                   "[--exec-tier {interp,threaded,native,reference}] "
                    "[--metrics[=FILE]] [--metrics-interval-ms N]\n";
       return 2;
     }
