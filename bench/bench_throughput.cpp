@@ -26,6 +26,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "telemetry/telemetry.hpp"
@@ -516,6 +517,87 @@ void BM_FleetRunnerFanOut(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FleetRunnerFanOut)->DenseRange(1, 4)->UseRealTime();
+
+// The producer→lane hop alone: one producer thread and one consumer thread
+// that keeps pace, through one SpscRing sized like a FleetRunner lane, with
+// no switch.  Three pairs:
+//   * staged:0 publishes every item (one seq_cst head store each);
+//     staged:1 publishes the way FleetRunner::inject does — at 64 staged
+//     items, or at once when the consumer has spun out;
+//   * packet:0 hands off a 40-byte POD; packet:1 a crafted UDP Packet,
+//     whose craft is part of the per-item cost;
+//   * hand_back:0 moves each packet out on the consumer, so its buffer is
+//     freed there (the allocating thread's caches never see it again);
+//     hand_back:1 leaves it in its slot for the producer's next stage to
+//     free, as FleetRunner lanes do.
+// Real time per item.  The consumer drains in-place bursts of 64.
+struct HandoffPod {
+  std::array<std::uint64_t, 5> words{};
+};
+
+template <typename T, typename Make>
+void run_handoff(benchmark::State& state, Make make) {
+  const bool staged = state.range(0) != 0;
+  const bool hand_back = state.range(2) != 0;
+  constexpr std::size_t kBurst = 64;
+  runtime::SpscRing<T> ring(4096 + kBurst);
+  std::uint64_t consumed = 0;
+  std::thread consumer([&] {
+    runtime::IdleStats idle;
+    while (ring.wait_readable(idle)) {
+      consumed += ring.consume_burst(kBurst, [hand_back](T& item) {
+        if (hand_back) {
+          benchmark::DoNotOptimize(item);
+        } else {
+          T taken = std::move(item);
+          benchmark::DoNotOptimize(taken);
+        }
+      });
+    }
+  });
+  std::uint64_t x = 1;
+  for (auto _ : state) {
+    T item = make(x++);
+    if (staged) {
+      ring.stage_blocking(std::move(item), [] {});
+      if (ring.staged() >= kBurst || ring.consumer_idle()) ring.publish();
+    } else {
+      ring.push_blocking(std::move(item));
+    }
+  }
+  ring.publish();
+  ring.close();
+  consumer.join();
+  if (consumed != static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("handoff lost items");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_FleetHandoff(benchmark::State& state) {
+  if (state.range(1) == 0) {
+    run_handoff<HandoffPod>(state, [](std::uint64_t x) {
+      HandoffPod pod;
+      pod.words[0] = x;
+      return pod;
+    });
+    return;
+  }
+  run_handoff<p4sim::Packet>(state, [](std::uint64_t x) {
+    return p4sim::make_udp_packet(
+        p4sim::ipv4(8, 8, 8, 8),
+        p4sim::ipv4(10, 0, 1 + static_cast<unsigned>(x % 6), 1), 1, 2);
+  });
+}
+BENCHMARK(BM_FleetHandoff)
+    ->ArgNames({"staged", "packet", "hand_back"})
+    ->Args({0, 0, 0})
+    ->Args({1, 0, 0})
+    ->Args({0, 1, 0})
+    ->Args({1, 1, 0})
+    ->Args({0, 1, 1})
+    ->Args({1, 1, 1})
+    ->UseRealTime();
 
 // ------------------------------------------------ machine-readable output
 

@@ -292,7 +292,7 @@ SwitchOutput P4Switch::process(Packet pkt) {
   return out;
 }
 
-void P4Switch::process_into(Packet pkt, SwitchOutput& out) {
+void P4Switch::process_into(Packet&& pkt, SwitchOutput& out) {
   out.packets.clear();
   out.digests.clear();
   out.dropped = false;

@@ -93,8 +93,10 @@ class P4Switch {
 
   /// process() into a caller-owned output whose vectors are reused across
   /// packets (the batched drain loops call this to keep allocations off the
-  /// per-packet path).  `out` is cleared first.
-  void process_into(Packet pkt, SwitchOutput& out);
+  /// per-packet path).  `out` is cleared first.  A forwarded packet is moved
+  /// into `out.packets`; a dropped one is left in `pkt`, so a caller that
+  /// owns the buffer (a FleetRunner ring slot) keeps it either way.
+  void process_into(Packet&& pkt, SwitchOutput& out);
 
   /// Which execution tier runs the pipeline (see exec_tier.hpp).  Every
   /// tier but kReference shares one compiled walker: pipeline stages are

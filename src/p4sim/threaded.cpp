@@ -665,7 +665,8 @@ struct RoleRead {
 /// op_io's reads of `op`, in the same order, each tagged with its role.
 std::size_t role_reads(const ThreadedOp& op, std::array<RoleRead, 4>& out) {
   const OpIO io = op_io(op);
-  for (std::size_t r = 0; r < io.nreads; ++r) out[r] = {io.reads[r]};
+  const std::size_t n = std::min<std::size_t>(io.nreads, out.size());
+  for (std::size_t r = 0; r < n; ++r) out[r] = {io.reads[r]};
   switch (static_cast<InternalOp>(op.opcode)) {
     case kOpSelect:   // reads a, b, c
     case kOpSelImmC:  // reads a, b
@@ -680,7 +681,7 @@ std::size_t role_reads(const ThreadedOp& op, std::array<RoleRead, 4>& out) {
     default:
       break;
   }
-  return io.nreads;
+  return n;
 }
 
 /// Pass 4 of threaded_compile: demand analysis + guarded-run scheduling.

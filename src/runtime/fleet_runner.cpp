@@ -60,79 +60,65 @@ control::SwitchId FleetRunner::add_switch(p4sim::P4Switch& sw) {
   sw.set_exec_tier(cfg_.exec_tier);
   auto lane = std::make_unique<SwitchLane>();
   lane->sw = &sw;
-  lane->ring = std::make_unique<SpscRing<p4sim::Packet>>(cfg_.queue_capacity);
+  lane->ring = make_ring();
   switches_.push_back(std::move(lane));
   return static_cast<control::SwitchId>(switches_.size() - 1);
 }
 
+std::unique_ptr<SpscRing<p4sim::Packet>> FleetRunner::make_ring() const {
+  // In-place draining holds a burst's slots until it is processed, so the
+  // ring carries one burst beyond the queue the producer sees.
+  return std::make_unique<SpscRing<p4sim::Packet>>(cfg_.queue_capacity +
+                                                   cfg_.drain_burst);
+}
+
 void FleetRunner::worker_loop(control::SwitchId id, SwitchLane& lane) {
   // Packets are drained in bursts (one ring handshake per burst) and run
-  // through process_into() with ONE SwitchOutput whose vectors are reused
-  // across the whole lane lifetime — no per-packet allocation.  The lane
+  // through process_into() in their ring slots, with ONE SwitchOutput whose
+  // vectors are reused across the whole lane lifetime — no per-packet
+  // allocation, and no free: a forwarded packet is moved back into its
+  // slot, a dropped one never leaves it, and the producer's next stage()
+  // there frees the buffer on the thread that allocated it.  The lane
   // atomics (delivered, digests) are the accounting source of truth and
-  // are bumped per packet; the process-wide telemetry counters are a
-  // redundant aggregate, so they batch locally and flush at burst
-  // boundaries to keep extra shared-line RMWs off the per-packet path.
+  // are published once per burst, as are the process-wide telemetry
+  // counters.
   //
-  // Idle policy is spin -> yield -> park (SpinPolicy): an idle lane parks
-  // on its ring instead of burning a spin loop, and inject()/close_input()
-  // wake it.
-  STAT4_TELEMETRY_ONLY(
-      auto& metrics = FleetMetrics::get();
-      std::uint64_t t_delivered = 0;
-      std::uint64_t t_digests = 0;)
-  std::vector<p4sim::Packet> burst;
-  burst.reserve(cfg_.drain_burst);
+  // Idle policy is spin -> (idle flag) -> yield -> park, in
+  // SpscRing::wait_readable(): an idle lane parks on its ring instead of
+  // burning a spin loop, and a publish or close_input() wakes it.
+  STAT4_TELEMETRY_ONLY(auto& metrics = FleetMetrics::get();)
   p4sim::SwitchOutput out;
-  unsigned idle = 0;
-  while (true) {
-    burst.clear();
-    const std::size_t n = lane.ring->pop_burst(burst, cfg_.drain_burst);
-    if (n != 0) {
-      for (std::size_t b = 0; b < n; ++b) {
-        lane.sw->process_into(std::move(burst[b]), out);
-        for (auto& digest : out.digests) {
-          TaggedDigest td{id, std::move(digest), 0};
-          // Emit timestamp feeds the emit-to-controller-dequeue latency
-          // histogram; the controller side stamps the dequeue.
-          STAT4_TELEMETRY_ONLY(td.emit_ns = telemetry::now_ns();
-                               ++t_digests;)
-          digest_channel_.push(std::move(td));
-          lane.digests.fetch_add(1, std::memory_order_relaxed);
-        }
-        // Release-publish the processed count last, so a flush() observing
-        // it also observes the register state and the queued digests.
-        lane.delivered.fetch_add(1, std::memory_order_release);
-        STAT4_TELEMETRY_ONLY(++t_delivered;)
-      }
-      STAT4_TELEMETRY_ONLY(
-          metrics.delivered.add(t_delivered); t_delivered = 0;
-          if (t_digests != 0) {
-            metrics.digests.add(t_digests);
-            t_digests = 0;
-          })
-      idle = 0;
-      continue;
+  std::uint64_t burst_digests = 0;
+  const auto process = [&](p4sim::Packet& slot) {
+    lane.sw->process_into(std::move(slot), out);
+    for (auto& digest : out.digests) {
+      TaggedDigest td{id, std::move(digest), 0};
+      // Emit timestamp feeds the emit-to-controller-dequeue latency
+      // histogram; the controller side stamps the dequeue.
+      STAT4_TELEMETRY_ONLY(td.emit_ns = telemetry::now_ns();)
+      digest_channel_.push(std::move(td));
     }
-    if (lane.ring->closed() && lane.ring->empty()) return;
-    if (idle < SpinPolicy::kSpins) {
-      ++idle;
-    } else if (idle < SpinPolicy::kSpins + SpinPolicy::kYields) {
-      ++idle;
-      std::this_thread::yield();
-    } else {
-      STAT4_TELEMETRY_ONLY(
-          const std::uint64_t t_before = lane.ring->consumer_parks();)
-      lane.ring->consumer_park();
-      STAT4_TELEMETRY_ONLY(
-          const std::uint64_t t_entered =
-              lane.ring->consumer_parks() - t_before;
-          if (t_entered != 0) {
-            metrics.parks.add(t_entered);
-            metrics.wakes.add(t_entered);
-          })
-      idle = 0;
+    burst_digests += out.digests.size();
+    if (!out.packets.empty()) slot = std::move(out.packets.front().second);
+  };
+  IdleStats idle;
+  while (lane.ring->wait_readable(idle)) {
+    STAT4_TELEMETRY_ONLY(
+        if (idle.parks != 0) {
+          metrics.parks.add(idle.parks);
+          metrics.wakes.add(idle.parks);
+          idle.parks = 0;
+        })
+    burst_digests = 0;
+    const std::size_t n = lane.ring->consume_burst(cfg_.drain_burst, process);
+    if (burst_digests != 0) {
+      lane.digests.fetch_add(burst_digests, std::memory_order_relaxed);
+      STAT4_TELEMETRY_ONLY(metrics.digests.add(burst_digests);)
     }
+    // Release-publish the processed count last, so a flush() observing it
+    // also observes the register state and the queued digests.
+    lane.delivered.fetch_add(n, std::memory_order_release);
+    STAT4_TELEMETRY_ONLY(metrics.delivered.add(n);)
   }
 }
 
@@ -143,12 +129,17 @@ void FleetRunner::start() {
   }
   stop_requested_.store(false, std::memory_order_relaxed);
   for (auto& lane : switches_) {
-    lane->ring = std::make_unique<SpscRing<p4sim::Packet>>(cfg_.queue_capacity);
+    lane->ring = make_ring();
+    lane->producer.store(std::thread::id{}, std::memory_order_relaxed);
     lane->sent.store(0, std::memory_order_relaxed);
     lane->dropped.store(0, std::memory_order_relaxed);
     lane->delivered.store(0, std::memory_order_relaxed);
     lane->digests.store(0, std::memory_order_relaxed);
   }
+  // Never stage more than half a ring: the lane keeps the other half to
+  // chew on while the producer fills the stage.
+  stage_limit_ = std::max<std::size_t>(
+      1, std::min(cfg_.drain_burst, switches_.front()->ring->capacity() / 2));
   running_ = true;
   for (std::size_t i = 0; i < switches_.size(); ++i) {
     SwitchLane* lane = switches_[i].get();
@@ -159,13 +150,35 @@ void FleetRunner::start() {
   }
 }
 
+void FleetRunner::count_sent(SwitchLane& lane, std::uint64_t n) {
+  // One writer: a plain read-modify-write, released so any observer of a
+  // delivery or a drop also observes the send that caused it.
+  lane.sent.store(lane.sent.load(std::memory_order_relaxed) + n,
+                  std::memory_order_release);
+  FleetMetrics::get().injected.add(n);
+}
+
+void FleetRunner::publish(SwitchLane& lane) {
+  const std::size_t n = lane.ring->staged();
+  if (n == 0) return;
+  count_sent(lane, n);  // before the lane can see (and deliver) the burst
+  lane.ring->publish();
+}
+
+void FleetRunner::publish_own_lanes() {
+  const std::thread::id me = std::this_thread::get_id();
+  for (auto& lane : switches_) {
+    if (lane->producer.load(std::memory_order_relaxed) == me) publish(*lane);
+  }
+}
+
 bool FleetRunner::inject(control::SwitchId sw, p4sim::Packet pkt) {
   auto& metrics = FleetMetrics::get();
   SwitchLane& lane = *switches_.at(sw);
-  // `sent` is released BEFORE the push/drop so any observer of a delivery
-  // or a drop also observes the send that caused it (see counters()).
-  lane.sent.fetch_add(1, std::memory_order_release);
-  metrics.injected.add();
+  const std::thread::id me = std::this_thread::get_id();
+  if (lane.producer.load(std::memory_order_relaxed) != me) {
+    lane.producer.store(me, std::memory_order_relaxed);
+  }
   // thread_local gate: producers may inject concurrently on different
   // lanes, and a shared gate atomic would bounce between their caches.
   STAT4_TELEMETRY_ONLY(
@@ -173,33 +186,39 @@ bool FleetRunner::inject(control::SwitchId sw, p4sim::Packet pkt) {
       if (t_occupancy_gate.fire(64)) {
         metrics.ring_occupancy.record(lane.ring->size());
       })
-  if (lane.ring->closed()) {
-    lane.dropped.fetch_add(1, std::memory_order_release);
-    metrics.dropped.add();
-    return false;
-  }
-  if (cfg_.policy == Policy::kBlock) {
-    // Time the stall only once a push has failed — rare, and exactly the
-    // event worth tracing; the unstalled path stays clock-free.
+  SpscRing<p4sim::Packet>& ring = *lane.ring;
+  bool staged = !ring.closed();
+  if (staged && cfg_.policy == Policy::kBlock) {
+    // Time the stall only once a stage is refused — rare, and exactly the
+    // event worth tracing; the unstalled path stays clock-free.  The ring
+    // publishes the stage before it waits, so count it sent first.
     STAT4_TELEMETRY_ONLY(std::optional<telemetry::SpanTimer> t_stall;)
-    lane.ring->push_blocking(std::move(pkt), [&] {
+    ring.stage_blocking(std::move(pkt), [&] {
+      count_sent(lane, ring.staged());
       STAT4_TELEMETRY_ONLY(t_stall.emplace(metrics.block_stall_ns);)
     });
-    return true;
+  } else if (staged) {
+    staged = ring.stage(std::move(pkt));
   }
-  if (!lane.ring->try_push(std::move(pkt))) {
-    lane.dropped.fetch_add(1, std::memory_order_release);
+  if (!staged) {
+    count_sent(lane, 1);
+    lane.dropped.store(lane.dropped.load(std::memory_order_relaxed) + 1,
+                       std::memory_order_release);
     metrics.dropped.add();
     return false;
   }
+  if (ring.staged() >= stage_limit_ || ring.consumer_idle()) publish(lane);
   return true;
 }
 
 void FleetRunner::close_input(control::SwitchId sw) {
-  switches_.at(sw)->ring->close();
+  SwitchLane& lane = *switches_.at(sw);
+  publish(lane);
+  lane.ring->close();
 }
 
 std::size_t FleetRunner::poll_digests() {
+  publish_own_lanes();
   // With no sink installed, digests stay queued — never silently discarded —
   // so a later drain_into() still sees them.
   if (!digest_sink_) return 0;
@@ -212,6 +231,7 @@ std::size_t FleetRunner::poll_digests() {
 
 void FleetRunner::flush() {
   if (!running_) return;
+  publish_own_lanes();
   STAT4_TELEMETRY_ONLY(
       static telemetry::Histogram& t_flush =
           telemetry::MetricsRegistry::global().histogram(
@@ -231,7 +251,10 @@ void FleetRunner::flush() {
 
 void FleetRunner::stop() {
   if (!running_) return;
-  for (auto& lane : switches_) lane->ring->close();
+  for (auto& lane : switches_) {
+    publish(*lane);
+    lane->ring->close();
+  }
   for (auto& lane : switches_) {
     if (lane->worker.joinable()) lane->worker.join();
   }
@@ -240,6 +263,7 @@ void FleetRunner::stop() {
 }
 
 void FleetRunner::drain_into(control::FleetCorrelator& correlator) {
+  publish_own_lanes();
   std::vector<TaggedDigest> pending;
   digest_channel_.drain(pending);
   STAT4_TELEMETRY_ONLY(record_digest_latency(pending);)
@@ -270,10 +294,10 @@ FleetRunner::Counters FleetRunner::counters(control::SwitchId sw) const {
   Counters c;
   // Read order matters for the live invariant: delivered and dropped are
   // read BEFORE sent.  Every delivered packet's sent-increment
-  // happens-before its delivered-increment (send -> ring push-release ->
-  // pop-acquire -> delivered-release), and every drop's sent-increment
-  // precedes its dropped-release; acquiring those counts first therefore
-  // guarantees the later sent read covers all of them:
+  // happens-before its delivered-increment (sent-release -> ring
+  // publish -> consume-acquire -> delivered-release), and every drop's
+  // sent-increment precedes its dropped-release; acquiring those counts
+  // first therefore guarantees the later sent read covers all of them:
   //   delivered + dropped <= sent   at every instant, from any thread.
   c.digests = lane.digests.load(std::memory_order_acquire);
   c.delivered = lane.delivered.load(std::memory_order_acquire);

@@ -7,11 +7,28 @@
 // bounded SPSC packet ring, with all digests funneled through one MPSC
 // channel to the controller side (typically a control::FleetCorrelator).
 //
+// The hop between a producer and its lane is batched at both ends.
+// inject() stages the packet in the lane's ring (SpscRing::stage) and
+// publishes the stage — one seq_cst head store for the whole run — at
+// fixed points: when Config::drain_burst packets are staged (never more
+// than half the ring), as soon as the lane has spun out on an empty ring
+// (its idle flag), when a kBlock inject finds the ring full, and from
+// flush()/poll_digests()/drain_into() (for the lanes the calling thread
+// feeds), close_input() and stop().  inject() reads no clock.  The lane
+// runs each packet through the switch IN ITS RING SLOT and leaves the
+// buffer there (a forwarded packet is moved back out of the SwitchOutput,
+// a dropped one never leaves), so the producer's next stage() into that
+// slot frees it on the thread that allocated it.  The ring therefore holds
+// queue_capacity + drain_burst packets: a burst's slots stay occupied
+// while the lane processes it, and the producer still sees queue_capacity.
+//
 // Backpressure: by default a packet arriving at a full ring is DROPPED and
 // counted, the way a congested switch sheds load; Policy::kBlock instead
-// spins until space frees up (lossless, for replay workloads where every
+// waits until space frees up (lossless, for replay workloads where every
 // packet must be observed).  Accounting invariant, enforced by
-// tests/fleet_runner_test.cpp:  sent == delivered + dropped  per switch.
+// tests/fleet_runner_test.cpp:  sent == delivered + dropped  per switch
+// after flush() or stop(), where `sent` counts packets published to the
+// lane or dropped (a staged packet is not sent yet).
 //
 // Shutdown protocol (safe under racing producers):
 //   1. producers observe stop_requested() — or simply finish — and each
@@ -50,9 +67,10 @@ class FleetRunner {
   struct Config {
     std::size_t queue_capacity = 1024;  ///< per-switch ingress ring, packets
     Policy policy = Policy::kDrop;
-    /// Max packets a worker drains from its ring per wakeup (one ring
-    /// handshake per burst; the reused SwitchOutput keeps allocations off
-    /// the per-packet path).  1 degenerates to per-packet popping.
+    /// Max packets a worker drains from its ring per wakeup, and max
+    /// packets inject() stages before it publishes (one ring handshake per
+    /// burst at each end; the reused SwitchOutput keeps allocations off the
+    /// per-packet path).  1 degenerates to per-packet publish and drain.
     std::size_t drain_burst = 64;
     /// Execution tier applied to every switch at add_switch() (see
     /// p4sim/exec_tier.hpp).  Default: threaded, or STAT4_EXEC_TIER.
@@ -60,14 +78,16 @@ class FleetRunner {
   };
 
   struct Counters {
-    std::uint64_t sent = 0;       ///< inject() calls (accepted + dropped)
+    std::uint64_t sent = 0;       ///< packets published to the lane + dropped
     std::uint64_t delivered = 0;  ///< packets processed by the switch
     std::uint64_t dropped = 0;    ///< shed at a full or closed ring
     std::uint64_t digests = 0;    ///< digests the switch emitted
   };
 
   FleetRunner() = default;
-  explicit FleetRunner(Config cfg) : cfg_(cfg) {}
+  explicit FleetRunner(Config cfg) : cfg_(cfg) {
+    if (cfg_.drain_burst == 0) cfg_.drain_burst = 1;  // a lane must progress
+  }
   ~FleetRunner();
 
   FleetRunner(const FleetRunner&) = delete;
@@ -95,9 +115,11 @@ class FleetRunner {
   void start();
   [[nodiscard]] bool running() const noexcept { return running_; }
 
-  /// Enqueue one packet for `sw` (exactly one producer thread per switch).
-  /// Returns false — and counts a drop — when the ring is full under
-  /// Policy::kDrop, or when the switch's input was already closed.
+  /// Stage one packet for `sw` (exactly one producer thread per switch at
+  /// a time; the lane records it).  Returns false — and counts a drop —
+  /// when the ring is full under Policy::kDrop, or when the switch's input
+  /// was already closed.  A staged packet is published at the points listed
+  /// in the header comment; an idle lane gets it without any further call.
   bool inject(control::SwitchId sw, p4sim::Packet pkt);
 
   /// Cooperative-stop flag for producer threads.
@@ -109,29 +131,31 @@ class FleetRunner {
   }
 
   /// End-of-stream for one switch; called by that switch's producer as its
-  /// last action.  Idempotent.
+  /// last action (publishes its stage first).  Idempotent.
   void close_input(control::SwitchId sw);
 
-  /// Deliver queued digests to the sink; returns how many.  Single-consumer:
-  /// call from one (control) thread only.  With no sink installed this is a
-  /// no-op — digests stay queued for drain_into() rather than being
-  /// silently discarded.
+  /// Publish the calling thread's lanes, then deliver queued digests to the
+  /// sink; returns how many.  Single-consumer: call from one (control)
+  /// thread only.  With no sink installed nothing is delivered — digests
+  /// stay queued for drain_into() rather than being silently discarded.
   std::size_t poll_digests();
 
   /// Barrier: all packets injected so far are processed and their digests
-  /// queued.  Delivery is separate — follow with poll_digests() (sink, in
-  /// arrival order) or drain_into() (correlator, in time order).  Only
-  /// meaningful from the (sole) producer thread, whose own counters define
-  /// "so far".
+  /// queued.  Publishes the lanes the calling thread feeds, then waits for
+  /// every published packet.  Delivery is separate — follow with
+  /// poll_digests() (sink, in arrival order) or drain_into() (correlator,
+  /// in time order).  Only meaningful from the (sole) producer thread,
+  /// whose own counters define "so far".
   void flush();
 
-  /// Close every input, join all workers, deliver remaining digests.
-  /// Producers must have stopped injecting (inject() after close is a
-  /// counted drop, so a straggler cannot corrupt the accounting).
+  /// Publish and close every input, join all workers, deliver remaining
+  /// digests.  Producers must have stopped injecting (inject() after close
+  /// is a counted drop, so a straggler cannot corrupt the accounting).
   void stop();
 
   /// Drain pending digests — sorted by switch-side timestamp, the order the
-  /// controller would see them in — into a correlator.  Does not flush().
+  /// controller would see them in — into a correlator.  Publishes the
+  /// calling thread's lanes but does not flush().
   void drain_into(control::FleetCorrelator& correlator);
 
   /// Live snapshot, safe from ANY thread while the fleet runs (the
@@ -147,14 +171,19 @@ class FleetRunner {
     p4sim::P4Switch* sw = nullptr;
     std::unique_ptr<SpscRing<p4sim::Packet>> ring;
     std::thread worker;
-    // sent/dropped have one writer (the lane's producer) but concurrent
-    // readers; release stores + acquire loads give counters() its ordering
-    // guarantee (sent is bumped before a packet is pushed or dropped, so a
-    // reader that sees the effect also sees the cause).
-    alignas(64) std::atomic<std::uint64_t> sent{0};
-    alignas(64) std::atomic<std::uint64_t> dropped{0};
+    // Producer side.  `producer` is the thread that last injected, so a
+    // flush()/poll_digests() caller publishes only the stages it owns.
+    // sent/dropped have one writer (the lane's producer, or stop() once
+    // producers are done) but concurrent readers; release stores + acquire
+    // loads give counters() its ordering guarantee (sent is bumped before a
+    // burst is published or a packet dropped, so a reader that sees the
+    // effect also sees the cause).
+    alignas(64) std::atomic<std::thread::id> producer{};
+    std::atomic<std::uint64_t> sent{0};
+    std::atomic<std::uint64_t> dropped{0};
+    // Lane side: one release add per drained burst.
     alignas(64) std::atomic<std::uint64_t> delivered{0};
-    alignas(64) std::atomic<std::uint64_t> digests{0};
+    std::atomic<std::uint64_t> digests{0};
   };
 
   struct TaggedDigest {
@@ -163,11 +192,19 @@ class FleetRunner {
     std::uint64_t emit_ns = 0;  ///< telemetry::now_ns() at worker emit
   };
 
+  [[nodiscard]] std::unique_ptr<SpscRing<p4sim::Packet>> make_ring() const;
   void worker_loop(control::SwitchId id, SwitchLane& lane);
+  /// Count the lane's stage as sent, then make it visible to the lane.
+  void publish(SwitchLane& lane);
+  /// Adds `n` packets about to be published (or dropped) to `sent`.
+  static void count_sent(SwitchLane& lane, std::uint64_t n);
+  /// publish() every lane whose recorded producer is the calling thread.
+  void publish_own_lanes();
   /// Feeds the emit-to-dequeue histogram from a freshly drained batch.
   static void record_digest_latency(const std::vector<TaggedDigest>& batch);
 
   Config cfg_{};
+  std::size_t stage_limit_ = 1;  ///< drain_burst, at most half a ring
   std::vector<std::unique_ptr<SwitchLane>> switches_;
   MpscChannel<TaggedDigest> digest_channel_;
   std::function<void(control::SwitchId, const p4sim::Digest&)> digest_sink_;

@@ -1,5 +1,7 @@
 #include "runtime/sharded_engine.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "telemetry/telemetry.hpp"
@@ -48,7 +50,6 @@ void ShardedEngine::set_batch_size(std::size_t batch_size) {
         "runtime: set_batch_size() requires stopped workers");
   }
   batch_size_ = batch_size;
-  staged_.reserve(batch_size_);
 }
 
 stat4::DistId ShardedEngine::register_dist(std::size_t shard,
@@ -172,16 +173,16 @@ void ShardedEngine::advance_time(stat4::TimeNs now) {
 // ---------------------------------------------------------- threaded path
 
 void ShardedEngine::worker_loop(Shard& shard) {
-  // The drain loop pops whole bursts (one ring handshake each), segments
-  // them into contiguous packet runs fed to Stat4Engine::process_batch(),
-  // and publishes `processed` once per burst.  Telemetry is batched in
-  // locals and flushed at burst boundaries: a per-op atomic RMW from every
-  // worker measurably slows the pipeline it is observing.
+  // The drain loop consumes whole bursts (one ring handshake each),
+  // segments them into contiguous packet runs fed to
+  // Stat4Engine::process_batch(), and publishes `processed` once per
+  // burst.  Telemetry is batched in locals and flushed at burst
+  // boundaries: a per-op atomic RMW from every worker measurably slows the
+  // pipeline it is observing.
   //
-  // Idle policy is spin -> yield -> park (SpinPolicy): the old pure spin
-  // burned 44k+ `idle_spins` per quiet period; now an idle worker parks on
-  // the ring after ~144 polls and costs the scheduler nothing until the
-  // producer publishes or closes.
+  // Idle policy is spin -> yield -> park, in SpscRing::wait_readable(): an
+  // idle worker parks on the ring after ~144 polls and costs the scheduler
+  // nothing until the producer publishes or closes.
   STAT4_TELEMETRY_ONLY(
       static telemetry::Counter& t_ops =
           telemetry::MetricsRegistry::global().counter("runtime.shard.ops");
@@ -194,69 +195,42 @@ void ShardedEngine::worker_loop(Shard& shard) {
           telemetry::MetricsRegistry::global().counter("runtime.shard.wakes");
       static telemetry::Histogram& t_burst =
           telemetry::MetricsRegistry::global().histogram(
-              "runtime.shard.drain_burst");
-      std::uint64_t t_local_spins = 0;)
-  std::vector<Op> burst;
-  burst.reserve(batch_size_);
+              "runtime.shard.drain_burst");)
   std::vector<stat4::PacketFields> pkts;
   pkts.reserve(batch_size_);
-  unsigned idle = 0;
-  while (true) {
-    burst.clear();
-    const std::size_t n = shard.ring->pop_burst(burst, batch_size_);
-    if (n != 0) {
-      STAT4_TELEMETRY_ONLY(
-          t_ops.add(n); t_burst.record(n);
-          if (t_local_spins != 0) {
-            t_idle_spins.add(t_local_spins);
-            t_local_spins = 0;
-          })
-      std::size_t i = 0;
-      while (i < n) {
-        if (burst[i].advance_to >= 0) {
-          shard.engine->advance_time(burst[i].advance_to);
-          ++i;
-          continue;
-        }
-        pkts.clear();
-        while (i < n && burst[i].advance_to < 0) pkts.push_back(burst[i++].pkt);
-        shard.engine->process_batch(pkts.data(), pkts.size());
-      }
-      // Release so a flush() that observes the new count also observes all
-      // register state written while processing.
-      shard.processed.fetch_add(n, std::memory_order_release);
-      idle = 0;
-      continue;
-    }
-    if (shard.ring->closed() && shard.ring->empty()) {
-      STAT4_TELEMETRY_ONLY(
-          if (t_local_spins != 0) t_idle_spins.add(t_local_spins);)
+  const auto run_packets = [&] {
+    if (pkts.empty()) return;
+    shard.engine->process_batch(pkts.data(), pkts.size());
+    pkts.clear();
+  };
+  const auto take = [&](const Op& op) {
+    if (op.advance_to < 0) {
+      pkts.push_back(op.pkt);
       return;
     }
-    if (idle < SpinPolicy::kSpins) {
-      ++idle;
-      STAT4_TELEMETRY_ONLY(++t_local_spins;)
-    } else if (idle < SpinPolicy::kSpins + SpinPolicy::kYields) {
-      ++idle;
-      std::this_thread::yield();
-    } else {
-      STAT4_TELEMETRY_ONLY(
-          if (t_local_spins != 0) {
-            t_idle_spins.add(t_local_spins);
-            t_local_spins = 0;
-          }
-          const std::uint64_t t_before = shard.ring->consumer_parks();)
-      shard.ring->consumer_park();
-      STAT4_TELEMETRY_ONLY(
-          const std::uint64_t t_entered =
-              shard.ring->consumer_parks() - t_before;
-          if (t_entered != 0) {
-            t_parks.add(t_entered);
-            t_wakes.add(t_entered);
-          })
-      idle = 0;
-    }
+    run_packets();
+    shard.engine->advance_time(op.advance_to);
+  };
+  IdleStats idle;
+  const auto flush_idle = [&] {
+    STAT4_TELEMETRY_ONLY(
+        if (idle.polls != 0) t_idle_spins.add(idle.polls);
+        if (idle.parks != 0) {
+          t_parks.add(idle.parks);
+          t_wakes.add(idle.parks);
+        })
+    idle = {};
+  };
+  while (shard.ring->wait_readable(idle)) {
+    flush_idle();
+    const std::size_t n = shard.ring->consume_burst(batch_size_, take);
+    run_packets();
+    STAT4_TELEMETRY_ONLY(t_ops.add(n); t_burst.record(n);)
+    // Release so a flush() that observes the new count also observes all
+    // register state written while processing.
+    shard.processed.fetch_add(n, std::memory_order_release);
   }
+  flush_idle();
 }
 
 void ShardedEngine::start() {
@@ -265,10 +239,12 @@ void ShardedEngine::start() {
     // Fresh ring per run: close() is sticky, so a stopped engine needs a
     // new end-of-stream marker to be restartable.
     shard->ring = std::make_unique<SpscRing<Op>>(queue_capacity_);
-    shard->accepted = 0;
     shard->processed.store(0, std::memory_order_relaxed);
   }
-  staged_.clear();
+  submitted_ = 0;
+  published_ops_ = 0;
+  stage_limit_ = std::max<std::size_t>(
+      1, std::min(batch_size_, shards_.front()->ring->capacity() / 2));
   running_ = true;
   for (auto& shard : shards_) {
     shard->worker = std::thread([this, s = shard.get()] { worker_loop(*s); });
@@ -276,41 +252,40 @@ void ShardedEngine::start() {
 }
 
 void ShardedEngine::enqueue(const Op& op) {
-  staged_.push_back(op);
-  if (staged_.size() >= batch_size_) flush_staged();
-}
-
-void ShardedEngine::flush_staged() {
-  if (staged_.empty()) return;
-  // Queue depth is sampled 1-in-8 batch flushes (then read for every
-  // shard, so imbalance between shards is visible); the sampling tick is a
-  // plain member — flushes happen on the single producer thread by
-  // contract — so the unsampled path adds no atomics.  Backpressure stalls
-  // are timed in full: they are rare and exactly the events worth tracing.
+  // Backpressure stalls are timed in full: they are rare and exactly the
+  // events worth tracing.
   STAT4_TELEMETRY_ONLY(
       static telemetry::Counter& t_waits =
           telemetry::MetricsRegistry::global().counter(
               "runtime.shard.backpressure_waits");
+      static telemetry::Histogram& t_stall =
+          telemetry::MetricsRegistry::global().histogram(
+              "runtime.shard.backpressure_stall_ns");)
+  for (auto& shard : shards_) {
+    STAT4_TELEMETRY_ONLY(std::optional<telemetry::SpanTimer> t_span;)
+    shard->ring->stage_blocking(op, [&] {
+      backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
+      STAT4_TELEMETRY_ONLY(t_waits.add(); t_span.emplace(t_stall);)
+    });
+  }
+  if (++submitted_ - published_ops_ >= stage_limit_) publish_rings();
+}
+
+void ShardedEngine::publish_rings() {
+  // Queue depth is sampled at 1 in 8 publishes (then read for every shard,
+  // so imbalance between shards is visible); the sampling tick is a plain
+  // member — publishes happen on the single producer thread by contract —
+  // so the unsampled path adds no atomics.
+  STAT4_TELEMETRY_ONLY(
       static telemetry::Histogram& t_depth =
           telemetry::MetricsRegistry::global().histogram(
               "runtime.shard.queue_depth");
-      static telemetry::Histogram& t_stall =
-          telemetry::MetricsRegistry::global().histogram(
-              "runtime.shard.backpressure_stall_ns");
       const bool t_sample = (t_enqueue_tick_++ & 7) == 0;)
-  const std::size_t n = staged_.size();
   for (auto& shard : shards_) {
     STAT4_TELEMETRY_ONLY(if (t_sample) t_depth.record(shard->ring->size());)
-    const std::size_t pushed = shard->ring->try_push_burst(staged_.data(), n);
-    if (pushed < n) {
-      backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
-      STAT4_TELEMETRY_ONLY(t_waits.add();
-                           telemetry::SpanTimer t_span(t_stall);)
-      shard->ring->push_burst_blocking(staged_.data() + pushed, n - pushed);
-    }
-    shard->accepted += n;
+    shard->ring->publish();
   }
-  staged_.clear();
+  published_ops_ = submitted_;
 }
 
 void ShardedEngine::submit(const stat4::PacketFields& pkt) {
@@ -335,7 +310,7 @@ void ShardedEngine::drain_alerts() {
 
 void ShardedEngine::flush() {
   if (!running_) return;
-  flush_staged();
+  publish_rings();
   STAT4_TELEMETRY_ONLY(
       static telemetry::Histogram& t_flush =
           telemetry::MetricsRegistry::global().histogram(
@@ -343,8 +318,7 @@ void ShardedEngine::flush() {
       telemetry::SpanTimer t_span(t_flush);)
   Backoff backoff;
   for (auto& shard : shards_) {
-    while (shard->processed.load(std::memory_order_acquire) <
-           shard->accepted) {
+    while (shard->processed.load(std::memory_order_acquire) < submitted_) {
       backoff.pause();
     }
     backoff.reset();

@@ -25,13 +25,14 @@
 //     submit_advance() enqueue (single producer thread!), flush() is a
 //     barrier after which statistics may be read, stop() flushes and joins.
 //
-// Batched ingestion (the hot path): submit() appends to a producer-side
-// staging buffer; every batch_size ops the whole batch is burst-pushed to
-// each shard's ring under one acquire/release pair per shard, and workers
-// drain whole bursts into Stat4Engine::process_batch().  Order within the
-// single producer is preserved, so the equivalence guarantee is unchanged.
-// flush()/stop() first drain the staging buffer, so callers never see a
-// partial batch.  batch_size = 1 degenerates to the per-packet pipeline.
+// Batched ingestion (the hot path): submit() stages the op in every
+// shard's ring (SpscRing::stage, the same staging FleetRunner uses); every
+// batch_size ops (at most half a ring) each ring publishes its stage with
+// one head store, and workers drain whole bursts into
+// Stat4Engine::process_batch().  Order within the single producer is
+// preserved, so the equivalence guarantee is unchanged.  flush()/stop()
+// first publish every ring, so callers never see a partial batch.
+// batch_size = 1 degenerates to the per-packet pipeline.
 #pragma once
 
 #include <atomic>
@@ -56,13 +57,13 @@ class ShardedEngine {
                          std::size_t batch_size = kDefaultBatchSize);
   ~ShardedEngine();
 
-  /// Ops staged per producer-side batch before a burst enqueue (and the
-  /// max ops a worker drains per wakeup).  256 amortizes the ring handshake
+  /// Ops staged per shard ring before a publish (and the max ops a worker
+  /// drains per wakeup).  256 amortizes the ring handshake
   /// to noise while keeping worst-case added latency one batch deep.
   static constexpr std::size_t kDefaultBatchSize = 256;
 
-  /// Change the ingestion batch size.  Call while stopped (the producer
-  /// staging buffer and the worker drain loops both read it).
+  /// Change the ingestion batch size.  Call while stopped (the producer's
+  /// publish threshold and the worker drain loops both read it).
   void set_batch_size(std::size_t batch_size);
   [[nodiscard]] std::size_t batch_size() const noexcept {
     return batch_size_;
@@ -142,8 +143,8 @@ class ShardedEngine {
   /// mode and may be start()ed again.
   void stop();
 
-  /// Times a batch enqueue found a shard ring full and had to
-  /// backpressure-wait (spin/yield/park) for the worker to drain it.
+  /// Times an enqueue found a shard ring full and had to backpressure-wait
+  /// (spin/yield/park) for the worker to drain it.
   [[nodiscard]] std::uint64_t backpressure_waits() const noexcept {
     return backpressure_waits_.load(std::memory_order_relaxed);
   }
@@ -159,7 +160,6 @@ class ShardedEngine {
     std::unique_ptr<SpscRing<Op>> ring;
     std::vector<stat4::DistId> global_of_local;  ///< local DistId -> global
     std::thread worker;
-    std::uint64_t accepted = 0;                   ///< producer-side op count
     alignas(64) std::atomic<std::uint64_t> processed{0};
   };
 
@@ -172,10 +172,11 @@ class ShardedEngine {
   const stat4::Stat4Engine& engine_of(stat4::DistId id) const;
   [[nodiscard]] const DistRef& ref(stat4::DistId id) const;
   stat4::DistId register_dist(std::size_t shard, stat4::DistId local);
+  /// Stage `op` in every shard ring (parking on backpressure), and publish
+  /// them all once stage_limit_ ops are staged.
   void enqueue(const Op& op);
-  /// Burst-push the staged ops to every shard (one ring handshake per
-  /// shard), parking on backpressure.  No-op when nothing is staged.
-  void flush_staged();
+  /// Make every shard ring's stage visible to its worker.
+  void publish_rings();
   void worker_loop(Shard& shard);
   void drain_alerts();
 
@@ -187,11 +188,13 @@ class ShardedEngine {
   std::atomic<std::uint64_t> alert_seq_{0};
   std::size_t queue_capacity_;
   std::size_t batch_size_;
-  std::vector<Op> staged_;  ///< producer-side staging buffer (see submit())
+  std::size_t stage_limit_ = 1;    ///< batch_size_, at most half a ring
+  std::uint64_t submitted_ = 0;    ///< ops enqueued to every shard this run
+  std::uint64_t published_ops_ = 0;  ///< submitted_ at the last publish
   bool running_ = false;
   std::atomic<std::uint64_t> backpressure_waits_{0};
-  // Telemetry sampling tick for enqueue() (plain: single producer thread
-  // by contract; dead in telemetry-off builds).
+  // Telemetry sampling tick for ring publishes (plain: single producer
+  // thread by contract; dead in telemetry-off builds).
   std::uint32_t t_enqueue_tick_ = 0;
 };
 

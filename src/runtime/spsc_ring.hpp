@@ -1,4 +1,5 @@
-// Bounded single-producer / single-consumer ring buffer with burst I/O.
+// Bounded single-producer / single-consumer ring buffer with staged,
+// burst-published I/O.
 //
 // The packet channel between a traffic source and a shard (or emulated
 // switch) worker thread.  The discipline mirrors a switch ingress queue:
@@ -10,14 +11,31 @@
 // and backpressure (wait until space; see ShardedEngine, which must stay
 // lossless to remain bit-identical to the single-threaded engine).
 //
-// Burst transfers are the fast path: try_push_burst / pop_burst move a run
-// of items under ONE acquire/release pair, so the per-item cost of the
-// atomic handshake (and the cache-line ping-pong between the head and tail
-// lines) is amortized across the burst.  A burst wrapping the end of the
-// storage array is split into two copies internally; callers never see the
-// seam.
+// Every transfer is built on three primitives, so the ring has one publish
+// path and one release path (the control-variable batching of
+// MCRingBuffer, Lee et al., IPDPS 2010):
+//   * stage(item) writes an item into its slot but leaves it invisible;
+//   * publish() makes everything staged visible with ONE seq_cst head store
+//     and one wake check;
+//   * consume_burst(max, fn) runs `fn` on up to `max` published items IN
+//     THEIR SLOTS, then frees the slots with ONE tail store and one wake
+//     check.
+// try_push / push_blocking / try_push_burst / push_burst_blocking and
+// try_pop / pop_burst are thin compositions of these.  Batching the cursor
+// stores amortizes both the atomic handshake and the cache-line ping-pong
+// between the head and tail lines across the burst.
 //
-// Waiting is adaptive: spin → yield → park.  Parking uses C++20
+// Buffer locality: whatever `fn` leaves in a slot stays there until the
+// producer's next stage() into that slot assigns over it — so an item that
+// owns heap memory (a Packet's byte buffer) is destroyed on the producer's
+// thread, the thread that allocated it, or by the ring's destructor.  A
+// consumer that processes in place and moves nothing out therefore frees
+// nothing the producer allocated.  In exchange a burst's slots stay
+// occupied until the whole burst is processed: size the ring for the queue
+// the producer should see plus one drain burst.
+//
+// Waiting is adaptive: spin → yield → park (SpinPolicy; one consumer-wait
+// helper, wait_readable(), serves every worker loop).  Parking uses C++20
 // atomic wait/notify on a per-side signal counter (bumped by every wake,
 // so the waiter always observes progress — notifying an unchanged cursor
 // would just re-block), gated by a waiter flag.  The flag handshake is the
@@ -27,14 +45,17 @@
 // Seq_cst accesses (rather than release/acquire + seq_cst fences) keep the
 // protocol fully visible to TSan, and on x86 cost the same as the fence
 // they replace; the non-contended path pays one such store+load per burst.
-// Park episodes are counted per side (plain counters owned by
-// the waiting thread, read via relaxed atomics for telemetry) so stalls
-// are observable instead of burning a hot loop (see SpinPolicy).
+// Park episodes are counted per side (plain counters owned by the waiting
+// thread, read via relaxed atomics for telemetry) so stalls are observable
+// instead of burning a hot loop.  When the consumer stops spinning it also
+// raises an idle flag (consumer_idle()): a producer that holds staged items
+// reads it to publish at once instead of waiting for a full stage.
 //
 // `close()` is part of the shutdown protocol and must be called by the
-// producer thread (or after the producer has provably stopped): the consumer
-// drains until `closed() && empty()`, so an item pushed after close would
-// race with consumer exit.  close() wakes a parked consumer.
+// producer thread (or after the producer has provably stopped), after its
+// last publish(): the consumer drains until `closed() && empty()`, so an
+// item published after close would race with consumer exit.  close() wakes
+// a parked consumer.
 #pragma once
 
 #include <algorithm>
@@ -74,14 +95,20 @@ class Backoff {
   unsigned spins_ = 0;
 };
 
-/// The spin→yield→park thresholds shared by the worker loops.  A waiter
-/// spins kSpins times (cheap, latency-optimal when work is imminent),
-/// yields kYields times (lets a same-core producer run), then parks on the
-/// ring until the other side publishes — so an idle worker costs the
-/// scheduler nothing instead of spinning 44k+ times per quiet period.
+/// The spin→yield→park thresholds shared by both sides of the ring.  A
+/// waiter spins kSpins times (cheap, latency-optimal when work is
+/// imminent), yields kYields times (lets a same-core peer run), then parks
+/// until the other side publishes — so an idle worker costs the scheduler
+/// nothing instead of spinning 44k+ times per quiet period.
 struct SpinPolicy {
   static constexpr unsigned kSpins = 128;
   static constexpr unsigned kYields = 16;
+};
+
+/// What a consumer's waits cost, accumulated by SpscRing::wait_readable().
+struct IdleStats {
+  std::uint64_t polls = 0;  ///< empty polls in the spin and yield phases
+  std::uint64_t parks = 0;  ///< park episodes (each ended by one wake)
 };
 
 template <typename T>
@@ -102,33 +129,57 @@ class SpscRing {
 
   // ------------------------------------------------------------- producer
 
-  /// Returns false when the ring is full.  Moves from (or copies) `item`
-  /// only when the push succeeds: after a false return the caller still
-  /// holds it, to retry or to drop.
+  /// Writes `item` into the next free slot WITHOUT publishing it: neither
+  /// the consumer nor empty()/size() can see it until publish().  Returns
+  /// false, leaving `item` untouched, when published plus staged items fill
+  /// the ring.  Moves from an rvalue (copies an lvalue) only on success; the
+  /// assignment destroys whatever the consumer left in the slot, here on
+  /// the producer's thread.
+  bool stage(T&& item) { return stage_from(item); }
+  bool stage(const T& item) { return stage_from(item); }
+
+  /// Makes every staged item visible to the consumer: one seq_cst head
+  /// store, one wake check.  A no-op when nothing is staged.
+  void publish() noexcept {
+    if (stage_head_ == published_) return;
+    published_ = stage_head_;
+    // seq_cst publish: Dekker-pairs with consumer_park (see wake_consumer).
+    head_.store(published_, std::memory_order_seq_cst);
+    wake_consumer();
+  }
+
+  /// Items staged and not yet published (producer thread only).
+  [[nodiscard]] std::size_t staged() const noexcept {
+    return (stage_head_ - published_) & mask_;
+  }
+
+  /// stage(), waiting for room while the ring is full: the first time a
+  /// stage is refused it calls `on_full()`, then publish()es (the consumer
+  /// can only free slots it can see) and waits spin → yield → park until
+  /// the consumer frees a slot.  The item stays staged.  Returns the
+  /// producer's park episodes (0 on the uncontended path).
+  template <typename OnFull>
+  std::size_t stage_blocking(T&& item, OnFull&& on_full) {
+    return stage_wait(item, on_full);
+  }
+  template <typename OnFull>
+  std::size_t stage_blocking(const T& item, OnFull&& on_full) {
+    return stage_wait(item, on_full);
+  }
+
+  /// Stage and publish one item; false when the ring is full.  Moves from
+  /// (or copies) `item` only when the push succeeds: after a false return
+  /// the caller still holds it, to retry or to drop.
   bool try_push(T&& item) { return push_one(item); }
   bool try_push(const T& item) { return push_one(item); }
 
-  /// Copies up to `n` items from `items` into the ring under a single
-  /// acquire/release pair; returns how many were accepted (0 when full).
-  /// Requires copyable T (the same burst is typically fanned out to
-  /// several rings).
+  /// Copies up to `n` items from `items` into the ring and publishes them
+  /// together; returns how many were accepted (0 when full).  Requires
+  /// copyable T (the same burst is typically fanned out to several rings).
   std::size_t try_push_burst(const T* items, std::size_t n) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    // Free slots from the producer's cached view; refresh once if short.
-    std::size_t free = (tail_cache_ - head - 1) & mask_;
-    if (free < n) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      free = (tail_cache_ - head - 1) & mask_;
-      if (free == 0) return 0;
-    }
-    const std::size_t take = n < free ? n : free;
-    const std::size_t first = std::min(take, mask_ + 1 - head);
-    for (std::size_t i = 0; i < first; ++i) slots_[head + i] = items[i];
-    for (std::size_t i = first; i < take; ++i) {
-      slots_[i - first] = items[i];  // wrapped segment
-    }
-    head_.store((head + take) & mask_, std::memory_order_seq_cst);
-    wake_consumer();
+    std::size_t take = 0;
+    while (take < n && stage(items[take])) ++take;
+    publish();
     return take;
   }
 
@@ -136,28 +187,10 @@ class SpscRing {
   /// Returns the number of park episodes (0 on the uncontended path).
   std::size_t push_burst_blocking(const T* items, std::size_t n) {
     std::size_t parked = 0;
-    std::size_t done = 0;
-    while (done < n) {
-      const std::size_t pushed = try_push_burst(items + done, n - done);
-      done += pushed;
-      if (done == n) break;
-      if (pushed == 0) {
-        unsigned tries = 0;
-        while (try_push_burst(items + done, 1) == 0) {
-          if (tries < SpinPolicy::kSpins) {
-            ++tries;
-          } else if (tries < SpinPolicy::kSpins + SpinPolicy::kYields) {
-            ++tries;
-            std::this_thread::yield();
-          } else {
-            producer_park();
-            ++parked;
-            tries = 0;
-          }
-        }
-        ++done;
-      }
+    for (std::size_t i = 0; i < n; ++i) {
+      parked += stage_blocking(items[i], [] {});
     }
+    publish();
     return parked;
   }
 
@@ -172,89 +205,108 @@ class SpscRing {
   /// uncontended path (FleetRunner starts its stall timer there).
   template <typename OnFull>
   void push_blocking(T item, OnFull&& on_full) {
-    if (push_one(item)) return;
-    on_full();
-    unsigned tries = 0;
-    for (;;) {
-      if (push_one(item)) return;
-      if (tries < SpinPolicy::kSpins) {
-        ++tries;
-      } else if (tries < SpinPolicy::kSpins + SpinPolicy::kYields) {
-        ++tries;
-        std::this_thread::yield();
-      } else {
-        producer_park();
-        tries = 0;
-      }
-    }
+    stage_wait(item, on_full);
+    publish();
   }
 
   // ------------------------------------------------------------- consumer
 
-  /// Returns false when the ring is empty.
-  bool try_pop(T& out) {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail == head_cache_) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      if (tail == head_cache_) return false;
-    }
-    out = std::move(slots_[tail]);
-    tail_.store((tail + 1) & mask_, std::memory_order_seq_cst);
-    wake_producer();
-    return true;
-  }
-
-  /// Drain up to `max_burst` items into `out` (appended) under a single
-  /// acquire/release pair.  Batched delivery amortizes the atomic traffic
-  /// per wakeup.
-  std::size_t pop_burst(std::vector<T>& out, std::size_t max_burst) {
+  /// Runs `fn(T&)` on up to `max` published items, oldest first, in their
+  /// slots; then frees those slots with one tail store and one wake check.
+  /// Returns how many items it ran (0 when nothing is published).  `fn` may
+  /// move an item out or leave it; what it leaves is destroyed by the
+  /// producer's next stage() into that slot.  The slots stay occupied until
+  /// `fn` has run on the whole burst.
+  template <typename Fn>
+  std::size_t consume_burst(std::size_t max, Fn&& fn) {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
     std::size_t avail = (head_cache_ - tail) & mask_;
-    if (avail < max_burst) {
+    if (avail < max) {
       head_cache_ = head_.load(std::memory_order_acquire);
       avail = (head_cache_ - tail) & mask_;
       if (avail == 0) return 0;
     }
-    const std::size_t take = avail < max_burst ? avail : max_burst;
-    const std::size_t first = std::min(take, mask_ + 1 - tail);
-    for (std::size_t i = 0; i < first; ++i) {
-      out.push_back(std::move(slots_[tail + i]));
-    }
-    for (std::size_t i = first; i < take; ++i) {
-      out.push_back(std::move(slots_[i - first]));  // wrapped segment
-    }
+    const std::size_t take = std::min(avail, max);
+    for (std::size_t i = 0; i < take; ++i) fn(slots_[(tail + i) & mask_]);
     tail_.store((tail + take) & mask_, std::memory_order_seq_cst);
     wake_producer();
     return take;
   }
 
-  /// Back-compat alias for pop_burst.
-  std::size_t pop_batch(std::vector<T>& out, std::size_t max_batch) {
-    return pop_burst(out, max_batch);
+  /// Moves the oldest published item into `out`; false when none is.
+  bool try_pop(T& out) {
+    return consume_burst(1, [&out](T& item) { out = std::move(item); }) != 0;
+  }
+
+  /// Moves up to `max_burst` published items into `out` (appended) under a
+  /// single acquire/release pair.
+  std::size_t pop_burst(std::vector<T>& out, std::size_t max_burst) {
+    return consume_burst(max_burst,
+                         [&out](T& item) { out.push_back(std::move(item)); });
+  }
+
+  /// Consumer side: returns true as soon as published items wait, false
+  /// once the ring is closed and drained.  An empty ring is polled
+  /// SpinPolicy::kSpins times; then the idle flag goes up (consumer_idle()),
+  /// the consumer yields kYields times, and then parks until the producer
+  /// publishes or closes.  The flag comes down when items arrive.  `stats`
+  /// accumulates the empty polls and the park episodes.
+  bool wait_readable(IdleStats& stats) {
+    unsigned tries = 0;
+    while (!readable()) {
+      if (closed_.load(std::memory_order_acquire) && !readable()) {
+        return false;
+      }
+      if (tries < SpinPolicy::kSpins) {
+        ++tries;
+        ++stats.polls;
+        continue;
+      }
+      if (!idle_raised_) {
+        idle_raised_ = true;
+        consumer_idle_.store(1, std::memory_order_relaxed);
+      }
+      if (tries < SpinPolicy::kSpins + SpinPolicy::kYields) {
+        ++tries;
+        ++stats.polls;
+        std::this_thread::yield();
+      } else {
+        if (consumer_park()) ++stats.parks;
+        tries = 0;
+      }
+    }
+    if (idle_raised_) {
+      idle_raised_ = false;
+      consumer_idle_.store(0, std::memory_order_relaxed);
+    }
+    return true;
   }
 
   /// Consumer side: park until the producer publishes items or closes the
   /// ring.  Call only after spinning found the ring empty.  Returns
-  /// immediately when items or close() raced in.
+  /// immediately — and false — when items or close() raced in; true after
+  /// a park episode.
   ///
   /// The wait is on a dedicated signal counter, NOT on the head cursor:
   /// std::atomic::wait re-blocks while the waited value is unchanged, and
   /// close() changes no cursor — so a wake must always bump the value it
   /// notifies.  (A spurious bump from a stale waiter-flag read is harmless:
   /// the parker rechecks and re-parks.)
-  void consumer_park() {
+  bool consumer_park() {
     const std::uint32_t sig = consumer_signal_.load(std::memory_order_relaxed);
     consumer_waiting_.store(1, std::memory_order_seq_cst);
     // Recheck AFTER the flag store in the seq_cst order: either we see the
     // new head/close, or the producer's wake_consumer() sees the flag and
     // bumps the signal (one of the two must hold — see the class comment).
-    if (head_.load(std::memory_order_seq_cst) ==
-            tail_.load(std::memory_order_relaxed) &&
-        !closed_.load(std::memory_order_seq_cst)) {
+    const bool park = head_.load(std::memory_order_seq_cst) ==
+                          tail_.load(std::memory_order_relaxed) &&
+                      !closed_.load(std::memory_order_seq_cst);
+    if (park) {
       consumer_parks_.fetch_add(1, std::memory_order_relaxed);
       consumer_signal_.wait(sig, std::memory_order_relaxed);
     }
     consumer_waiting_.store(0, std::memory_order_relaxed);
+    return park;
   }
 
   // ------------------------------------------------------------- shutdown
@@ -275,14 +327,24 @@ class SpscRing {
 
   // ---------------------------------------------------------- observation
 
+  /// True while the consumer has spun out on an empty ring (see
+  /// wait_readable()), and on a fresh ring until its consumer first finds
+  /// items: a producer holding staged items should publish now.  A hint,
+  /// read without ordering; the consumer writes it only when it starts or
+  /// stops idling.
+  [[nodiscard]] bool consumer_idle() const noexcept {
+    return consumer_idle_.load(std::memory_order_relaxed) != 0;
+  }
+
+  /// No published item is waiting (staged items do not count).
   [[nodiscard]] bool empty() const noexcept {
     return head_.load(std::memory_order_acquire) ==
            tail_.load(std::memory_order_acquire);
   }
 
-  /// Approximate occupancy for telemetry: the two loads are not a
-  /// consistent pair under concurrency, but each is exact, so the result
-  /// is always within one in-flight item of a true past occupancy.
+  /// Approximate published occupancy for telemetry: the two loads are not
+  /// a consistent pair under concurrency, but each is exact, so the result
+  /// is always within one in-flight burst of a true past occupancy.
   [[nodiscard]] std::size_t size() const noexcept {
     const std::size_t h = head_.load(std::memory_order_acquire);
     const std::size_t t = tail_.load(std::memory_order_acquire);
@@ -301,39 +363,75 @@ class SpscRing {
   }
 
  private:
-  /// The single-item push: moves from a non-const `item` (copies a const
-  /// one) only when there is room; a full ring leaves `item` untouched.
+  /// The stage: moves from a non-const `item` (copies a const one) only
+  /// when there is room; a full ring leaves `item` untouched.
   template <typename U>
-  bool push_one(U& item) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t next = (head + 1) & mask_;
+  bool stage_from(U& item) {
+    const std::size_t next = (stage_head_ + 1) & mask_;
     if (next == tail_cache_) {
       tail_cache_ = tail_.load(std::memory_order_acquire);
       if (next == tail_cache_) return false;
     }
     if constexpr (std::is_const_v<U>) {
-      slots_[head] = item;
+      slots_[stage_head_] = item;
     } else {
-      slots_[head] = std::move(item);
+      slots_[stage_head_] = std::move(item);
     }
-    // seq_cst publish: Dekker-pairs with consumer_park (see wake_consumer).
-    head_.store(next, std::memory_order_seq_cst);
-    wake_consumer();
+    stage_head_ = next;
     return true;
   }
 
-  /// Producer side: park until the consumer frees a slot.  The close() flag
-  /// is producer-owned, so only tail movement can wake us.  Same signal-
-  /// counter protocol as consumer_park().
-  void producer_park() {
+  template <typename U>
+  bool push_one(U& item) {
+    if (!stage_from(item)) return false;
+    publish();
+    return true;
+  }
+
+  template <typename U, typename OnFull>
+  std::size_t stage_wait(U& item, OnFull& on_full) {
+    if (stage_from(item)) return 0;
+    on_full();
+    publish();
+    std::size_t parked = 0;
+    unsigned tries = 0;
+    while (!stage_from(item)) {
+      if (tries < SpinPolicy::kSpins) {
+        ++tries;
+      } else if (tries < SpinPolicy::kSpins + SpinPolicy::kYields) {
+        ++tries;
+        std::this_thread::yield();
+      } else {
+        if (producer_park()) ++parked;
+        tries = 0;
+      }
+    }
+    return parked;
+  }
+
+  /// Consumer side: a published item waits (refreshes the cached head when
+  /// the cached view is drained).
+  bool readable() noexcept {
+    const std::size_t tail = tail_.load(std::memory_order_relaxed);
+    if (head_cache_ != tail) return true;
+    head_cache_ = head_.load(std::memory_order_acquire);
+    return head_cache_ != tail;
+  }
+
+  /// Producer side: park until the consumer frees a slot; true after a
+  /// park episode.  The close() flag is producer-owned, so only tail
+  /// movement can wake us.  Same signal-counter protocol as consumer_park().
+  bool producer_park() {
     const std::uint32_t sig = producer_signal_.load(std::memory_order_relaxed);
     producer_waiting_.store(1, std::memory_order_seq_cst);
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    if (((head + 1) & mask_) == tail_.load(std::memory_order_seq_cst)) {
+    const bool park = ((stage_head_ + 1) & mask_) ==
+                      tail_.load(std::memory_order_seq_cst);
+    if (park) {
       producer_parks_.fetch_add(1, std::memory_order_relaxed);
       producer_signal_.wait(sig, std::memory_order_relaxed);
     }
     producer_waiting_.store(0, std::memory_order_relaxed);
+    return park;
   }
 
   /// Called after every head publish.  The seq_cst head store + seq_cst
@@ -358,12 +456,19 @@ class SpscRing {
 
   std::vector<T> slots_;
   std::size_t mask_ = 0;
-  alignas(64) std::atomic<std::size_t> head_{0};  ///< producer-owned
-  alignas(64) std::size_t tail_cache_ = 0;        ///< producer's view of tail
+  alignas(64) std::atomic<std::size_t> head_{0};  ///< published; producer-owned
+  alignas(64) std::size_t stage_head_ = 0;        ///< producer: next to stage
+  std::size_t published_ = 0;                     ///< producer's copy of head_
+  std::size_t tail_cache_ = 0;                    ///< producer's view of tail
   alignas(64) std::atomic<std::size_t> tail_{0};  ///< consumer-owned
   alignas(64) std::size_t head_cache_ = 0;        ///< consumer's view of head
+  bool idle_raised_ = true;                       ///< consumer's copy of idle
+  // Read by the producer on every stage-and-maybe-publish; both written
+  // rarely (idle transitions, end of stream), so the line stays shared.  A
+  // fresh ring starts idle: its consumer has nothing to drain yet.
   alignas(64) std::atomic<bool> closed_{false};
-  std::atomic<std::uint32_t> consumer_waiting_{0};
+  std::atomic<std::uint32_t> consumer_idle_{1};
+  alignas(64) std::atomic<std::uint32_t> consumer_waiting_{0};
   std::atomic<std::uint32_t> producer_waiting_{0};
   // Park/wake rendezvous: bumped on every notify so std::atomic::wait (which
   // re-blocks while the value is unchanged) always observes progress.

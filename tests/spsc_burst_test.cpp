@@ -2,23 +2,31 @@
 //
 // The single-threaded tests nail down the burst semantics (partial
 // acceptance when full, FIFO order across the wrap seam, interop with the
-// per-item push/pop); the threaded tests are the TSan targets: a tiny ring
-// hammered with randomly sized bursts from both sides forces constant
-// wraparound and both park paths (producer parks on full, consumer parks
-// on empty), so the acquire/release pairing and the Dekker-style
-// park/notify fences are exercised under the race detector.
+// per-item push/pop) and the staging primitives every push is built on
+// (stage() is invisible until publish(), refuses exactly at capacity, and
+// wraps); the threaded tests are the TSan targets: a tiny ring hammered
+// with randomly sized bursts from both sides forces constant wraparound
+// and both park paths (producer parks on full, consumer parks on empty),
+// so the acquire/release pairing and the Dekker-style park/notify fences
+// are exercised under the race detector.  Two more threaded tests pin the
+// consumer-wait helper's idle flag and the buffer-locality contract: what
+// a consumer leaves in its slots dies on the producer's thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "runtime/spsc_ring.hpp"
 
 namespace {
 
+using runtime::IdleStats;
 using runtime::SpscRing;
 
 TEST(SpscBurst, PushBurstRespectsCapacity) {
@@ -283,6 +291,195 @@ TEST(SpscBurstStress, MixedOpsThreaded) {
   }
   producer.join();
   EXPECT_EQ(expected, kTotal);
+}
+
+// ------------------------------------------------------------ staging
+
+TEST(SpscStage, StagedItemsAreInvisibleUntilPublish) {
+  SpscRing<int> ring(8);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(ring.stage(i));
+  EXPECT_EQ(ring.staged(), 3u);
+  EXPECT_TRUE(ring.empty()) << "staged items are not published";
+  EXPECT_EQ(ring.size(), 0u);
+  int calls = 0;
+  EXPECT_EQ(ring.consume_burst(8, [&calls](int&) { ++calls; }), 0u);
+  EXPECT_EQ(calls, 0);
+
+  ring.publish();
+  EXPECT_EQ(ring.staged(), 0u);
+  EXPECT_FALSE(ring.empty());
+  EXPECT_EQ(ring.size(), 3u);
+  std::vector<int> got;
+  EXPECT_EQ(ring.consume_burst(8, [&got](int& v) { got.push_back(v); }), 3u);
+  EXPECT_EQ(got, (std::vector<int>{0, 1, 2}));
+  EXPECT_TRUE(ring.empty());
+  ring.publish();  // nothing staged: a no-op
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(SpscStage, StageRefusesExactlyWhenPublishedPlusStagedFillTheRing) {
+  SpscRing<int> ring(8);  // 15 usable
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(ring.stage(i));
+  ring.publish();
+  std::size_t staged = 0;
+  while (ring.stage(static_cast<int>(5 + staged))) ++staged;
+  EXPECT_EQ(5 + staged, ring.capacity());
+  EXPECT_EQ(ring.staged(), staged);
+  EXPECT_EQ(ring.size(), 5u) << "only the published five are visible";
+
+  // Freeing one published slot admits exactly one more stage.
+  int v = -1;
+  ASSERT_TRUE(ring.try_pop(v));
+  EXPECT_EQ(v, 0);
+  EXPECT_TRUE(ring.stage(99));
+  EXPECT_FALSE(ring.stage(100));
+  ring.publish();
+  EXPECT_EQ(ring.size(), ring.capacity());
+  std::vector<int> out;
+  EXPECT_EQ(ring.pop_burst(out, 100), ring.capacity());
+  for (std::size_t i = 0; i + 1 < out.size(); ++i) {
+    EXPECT_EQ(out[i], static_cast<int>(i + 1));
+  }
+  EXPECT_EQ(out.back(), 99);
+}
+
+TEST(SpscStage, StagingCrossesTheWrapSeam) {
+  // Stage runs of 1..15 and drain them in place with bursts of 1..6, so
+  // the stage, the publish and the in-place drain all cross the seam at
+  // every alignment of a 16-slot ring.
+  SpscRing<std::uint64_t> ring(8);
+  std::mt19937_64 rng(5);
+  std::uint64_t next_in = 0;
+  std::uint64_t next_out = 0;
+  const auto check = [&next_out](std::uint64_t& v) {
+    ASSERT_EQ(v, next_out);
+    ++next_out;
+  };
+  for (int round = 0; round < 2000; ++round) {
+    const std::size_t run = 1 + rng() % ring.capacity();
+    std::size_t staged = 0;
+    while (staged < run && ring.stage(next_in)) {
+      ++next_in;
+      ++staged;
+    }
+    EXPECT_EQ(ring.staged(), staged);
+    ring.publish();
+    while (ring.consume_burst(1 + rng() % 6, check) != 0) {
+      if (rng() % 3 == 0) break;  // leave some behind across rounds
+    }
+  }
+  while (ring.consume_burst(16, check) != 0) {
+  }
+  EXPECT_EQ(next_out, next_in);
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(SpscStage, IdleFlagTracksTheConsumer) {
+  SpscRing<int> ring(8);
+  IdleStats stats;
+  EXPECT_TRUE(ring.consumer_idle()) << "a fresh ring's consumer is idle";
+  ring.push_blocking(5);
+  ASSERT_TRUE(ring.wait_readable(stats));
+  EXPECT_FALSE(ring.consumer_idle()) << "published items lower the flag";
+  EXPECT_EQ(stats.polls, 0u) << "no wait when items are already there";
+  EXPECT_EQ(ring.consume_burst(8, [](int&) {}), 1u);
+
+  std::atomic<int> got{0};
+  std::thread consumer([&] {
+    while (ring.wait_readable(stats)) {
+      ring.consume_burst(8, [&got](int& v) { got.fetch_add(v); });
+    }
+  });
+  // On the empty ring the consumer spins out and raises the flag again.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!ring.consumer_idle()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the consumer never raised its idle flag";
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(ring.stage(1));
+  ring.publish();
+  ring.close();
+  consumer.join();
+  EXPECT_EQ(got.load(), 1);
+  EXPECT_GE(stats.polls, runtime::SpinPolicy::kSpins);
+}
+
+// A payload that logs the thread it dies on.  Moves transfer the duty to
+// log, so each payload the producer made logs exactly once.
+struct Deaths {
+  std::mutex mu;
+  std::vector<std::thread::id> threads;
+};
+
+class Tracked {
+ public:
+  Tracked() = default;
+  explicit Tracked(Deaths* log) : log_(log) {}
+  Tracked(Tracked&& o) noexcept : log_(std::exchange(o.log_, nullptr)) {}
+  Tracked& operator=(Tracked&& o) noexcept {
+    die();
+    log_ = std::exchange(o.log_, nullptr);
+    return *this;
+  }
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+  ~Tracked() { die(); }
+  [[nodiscard]] bool live() const noexcept { return log_ != nullptr; }
+
+ private:
+  void die() noexcept {
+    if (log_ == nullptr) return;
+    const std::lock_guard<std::mutex> lock(log_->mu);
+    log_->threads.push_back(std::this_thread::get_id());
+    log_ = nullptr;
+  }
+  Deaths* log_ = nullptr;
+};
+
+TEST(SpscStage, InPlaceConsumerDestroysNothingTheProducerMade) {
+  constexpr std::size_t kItems = 5000;
+  Deaths deaths;
+  std::thread::id producer_id;
+  std::thread::id consumer_id;
+  std::size_t seen = 0;
+  {
+    SpscRing<Tracked> ring(16);
+    std::thread producer([&] {
+      producer_id = std::this_thread::get_id();
+      std::mt19937_64 rng(9);
+      for (std::size_t i = 0; i < kItems; ++i) {
+        ring.stage_blocking(Tracked(&deaths), [] {});
+        if (rng() % 4 == 0) ring.publish();
+      }
+      ring.publish();
+      ring.close();
+    });
+    std::thread consumer([&] {
+      consumer_id = std::this_thread::get_id();
+      IdleStats stats;
+      while (ring.wait_readable(stats)) {
+        ring.consume_burst(8, [&seen](Tracked& t) {
+          EXPECT_TRUE(t.live());
+          ++seen;
+        });
+      }
+    });
+    producer.join();
+    consumer.join();
+    // The ring's destructor takes what is still in the slots, here.
+  }
+  EXPECT_EQ(seen, kItems);
+  ASSERT_EQ(deaths.threads.size(), kItems) << "every payload died once";
+  const std::thread::id here = std::this_thread::get_id();
+  std::size_t on_producer = 0;
+  for (const std::thread::id t : deaths.threads) {
+    EXPECT_NE(t, consumer_id) << "the consumer destroyed a payload";
+    EXPECT_TRUE(t == producer_id || t == here);
+    if (t == producer_id) ++on_producer;
+  }
+  EXPECT_GE(on_producer, kItems - 32) << "only the last slots outlive it";
 }
 
 }  // namespace

@@ -9,8 +9,9 @@
 // threaded pipeline the way an ECMP fabric would spread flows over edge
 // switches.  Digests are printed as they reach the controller thread.
 // `--batch-size N` sets how many packets each worker drains from its ring
-// per atomic handshake (the FleetRunner drain burst, default 64); larger
-// bursts amortize synchronization, smaller ones cut per-packet latency.
+// per atomic handshake, and how many the CLI stages per switch before it
+// publishes them (the FleetRunner drain burst, default 64); larger bursts
+// amortize synchronization, smaller ones cut per-packet latency.
 //
 // `--ml` attaches the controller-side anomaly ensemble (docs/ML.md): every
 // rate-spike digest and (in fleet mode) every per-switch delivered delta
