@@ -372,6 +372,67 @@ TEST(PrecisionFixpoint, LinearErrorGrowthIsAccelerated) {
   EXPECT_FALSE(reg_bound(r, "acc").vacuous);
 }
 
+TEST(PrecisionFixpoint, ConstantStoreStopsAtFixpoint) {
+  ProgramBuilder b("const_store");
+  b.store_reg(0, b.konst(0), b.konst(300));
+  RegisterFile regs;
+  regs.declare("acc", 1, 64);
+  const PrecisionResult r = run_one(b.take(), regs, {});
+  EXPECT_TRUE(r.fixpoint);
+  EXPECT_FALSE(r.extrapolated);
+  // Two exact steps (the second changes nothing) plus the final step that
+  // captures the fields.
+  EXPECT_EQ(r.iterations, 3u);
+}
+
+TEST(PrecisionFixpoint, BudgetBelowWarmupRunsExactly) {
+  AnalysisOptions o;
+  o.max_observations = 100;
+  const auto sw = analysis::build_example("echo");
+  const PrecisionResult r = analysis::analyze_precision(*sw, o);
+  // 100 exact steps plus the final step.
+  EXPECT_EQ(r.iterations, 101u);
+  EXPECT_FALSE(r.fixpoint);
+  EXPECT_FALSE(r.extrapolated);
+}
+
+TEST(PrecisionFixpoint, IrregularGrowthIsWidenedToVacuous) {
+  // a += 1; b += a >> 3: `b`'s value grows by a staircase no degree<=2
+  // polynomial fits, so the engine iterates exactly to its cap, then widens
+  // every register the probe step still moves -- the linear `a` included,
+  // because acceleration applies to every register or to none.
+  ProgramBuilder b("irregular");
+  const auto idx = b.konst(0);
+  const auto a = b.add(b.load_reg(0, idx), b.konst(1));
+  b.store_reg(0, idx, a);
+  b.store_reg(1, idx, b.add(b.load_reg(1, idx), b.shr(a, b.konst(3))));
+  RegisterFile regs;
+  regs.declare("a", 1, 64);
+  regs.declare("b", 1, 64);
+  const PrecisionResult r = run_one(b.take(), regs, {});
+  for (const char* name : {"a", "b"}) {
+    EXPECT_TRUE(reg_bound(r, name).assumed) << name;
+    EXPECT_TRUE(reg_bound(r, name).vacuous) << name;
+    EXPECT_EQ(reg_bound(r, name).err_q32, analysis::err_ring_half(64))
+        << name;
+    bool widened = false;
+    bool vacuous = false;
+    for (const auto& d : r.diags.diagnostics()) {
+      if (d.loc.object != name) continue;
+      widened = widened || d.rule == "S4-PREC-002";
+      vacuous = vacuous || d.rule == "S4-PREC-001";
+    }
+    EXPECT_TRUE(widened) << name;
+    EXPECT_TRUE(vacuous) << name;
+  }
+  EXPECT_EQ(r.diags.diagnostics().size(), 4u);
+  // `iterations` counts abstract packets executed: 4096 exact steps, the
+  // probe, two settles and the final step.
+  EXPECT_EQ(r.iterations, 4100u);
+  EXPECT_FALSE(r.fixpoint);
+  EXPECT_FALSE(r.extrapolated);
+}
+
 // ---- catalog acceptance -----------------------------------------------------
 
 TEST(PrecisionCatalog, EveryAppProvesFiniteNonVacuousBounds) {
