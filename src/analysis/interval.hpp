@@ -1,11 +1,11 @@
-// Unsigned interval domain for the overflow pass.
+// Unsigned interval domain of the overflow and precision passes.
 //
 // Bounds are 128-bit so the analysis tracks the IDEAL (un-wrapped) value of
 // every expression: the simulator's 64-bit words wrap like P4 `bit<64>`, and
 // the whole point of the pass is to detect when the ideal value of an
 // accumulator or product exceeds the width it is stored into.  Operations
 // are inclusion-isotonic (wider inputs give wider outputs), which makes the
-// fixed-point iteration in overflow.cpp monotone.
+// fixpoint iteration (fixpoint.hpp) monotone.
 //
 // Wrap-aware special case: once a value has been widened to the full 64-bit
 // range because of a possible wrap (e.g. an unprovable guarded subtraction),
@@ -16,6 +16,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
+
+#include "p4sim/op_table.hpp"
 
 namespace analysis {
 
@@ -214,10 +217,54 @@ struct Interval {
   return join(t, f);
 }
 
-/// Renders an interval bound for witness messages ("[0, 2^72.3]"-style:
-/// exact when small, power-of-two magnitude when huge).
+/// Interval of an ALU op (kAdd through kSelect) over its operand intervals
+/// `a`, `b` and, for kSelect, the false arm `c`.  Sets *overflow64 when an
+/// add/mul/shl can pass 2^64-1 and *may_wrap when a sub may go below zero.
+/// Any other op gives the full word: the passes model those themselves.
+[[nodiscard]] constexpr Interval iv_alu(p4sim::Op op, const Interval& a,
+                                        const Interval& b, const Interval& c,
+                                        bool* overflow64,
+                                        bool* may_wrap) noexcept {
+  using p4sim::Op;
+  switch (op) {
+    case Op::kAdd: return iv_add(a, b, overflow64);
+    case Op::kSub: return iv_sub(a, b, may_wrap);
+    case Op::kMul: return iv_mul(a, b, overflow64);
+    case Op::kShl: return iv_shl(a, b, overflow64);
+    case Op::kShr: return iv_shr(a, b);
+    case Op::kAnd: return iv_and(a, b);
+    case Op::kOr: return iv_or(a, b);
+    case Op::kXor: return iv_xor(a, b);
+    case Op::kNot: return iv_not(a);
+    case Op::kEq: return iv_eq(a, b);
+    case Op::kNe: {
+      const Interval e = iv_eq(a, b);
+      return iv_bool(e.hi == 0, e.lo == 1);
+    }
+    case Op::kLt: return iv_lt(a, b);
+    case Op::kGt: return iv_lt(b, a);
+    case Op::kLe: return iv_le(a, b);
+    case Op::kGe: return iv_le(b, a);
+    case Op::kSelect: return iv_select(a, b, c);
+    default: return Interval::top64();
+  }
+}
+
+/// Clamps a bound to the 64-bit word for display.
 [[nodiscard]] inline std::uint64_t clamp_u64(U128 v) noexcept {
   return v > kMax64 ? ~std::uint64_t{0} : static_cast<std::uint64_t>(v);
+}
+
+/// Exact decimal rendering of a U128.
+[[nodiscard]] inline std::string u128_str(U128 v) {
+  if (v == 0) return "0";
+  std::string s;
+  while (v != 0) {
+    s += static_cast<char>('0' + static_cast<unsigned>(v % 10));
+    v /= 10;
+  }
+  std::reverse(s.begin(), s.end());
+  return s;
 }
 
 }  // namespace analysis

@@ -1,21 +1,13 @@
 // Interval / value-range propagation over p4sim action programs.
 //
-// Models the per-packet pipeline abstractly: one "abstract packet" applies
-// every stage's possible actions (or skips them) to a register-state map of
-// one interval per register array, then joins with the previous state.  The
-// iteration is monotone (state only widens), so:
+// The abstract state is one interval per register array.  The shared
+// fixpoint engine (fixpoint.hpp) steps the pipeline one abstract packet at a
+// time: a FIXPOINT proves the bounds for ANY number of packets, polynomial
+// acceleration of the interval highs jumps Xsum/Xsumsq-shaped growth to
+// `max_observations`, and irregular growth widens the register to its
+// declared width, which S4-OVF-005 reports as a proof gap.
 //
-//   * a FIXPOINT proves the bounds hold for ANY number of packets;
-//   * otherwise the pass iterates `warmup_iterations` exact steps and, when
-//     each still-growing register's upper bound follows a degree<=2
-//     polynomial in the packet count (constant second difference — exactly
-//     the shape of Xsum (linear) and Xsumsq (quadratic) accumulators), jumps
-//     the closed form to `max_observations` packets;
-//   * irregular growth falls back to exact iteration up to
-//     `max_exact_iterations`, after which the register is widened to its
-//     full declared width and S4-OVF-005 reports the proof gap.
-//
-// Diagnostics are emitted in one final reporting pass over the
+// Diagnostics are emitted in one final reporting step over the
 // post-iteration state, so every witness range reflects the configured
 // observation count.  Bounds are 128-bit ideal values (interval.hpp): a
 // 64-bit wrap or a store wider than the declared register/field width is

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <map>
-#include <set>
-#include <tuple>
 
-#include "analysis/acceleration.hpp"
+#include "analysis/fixpoint.hpp"
 #include "analysis/pipeline_model.hpp"
 #include "analysis/symbolic.hpp"
 #include "p4sim/disasm.hpp"
@@ -45,46 +43,12 @@ struct PrecVal {
 
 U128 e_clamp(U128 v) { return v < kErrTop ? v : kErrTop; }
 
-PrecVal join_val(const PrecVal& a, const PrecVal& b) {
+PrecVal join(const PrecVal& a, const PrecVal& b) {
   PrecVal out;
   out.iv = join(a.iv, b.iv);
   out.err = std::max(a.err, b.err);
   out.absolute = a.absolute && b.absolute;
   return out;
-}
-
-struct State {
-  std::vector<PrecVal> regs;
-  bool operator==(const State& o) const { return regs == o.regs; }
-};
-
-State join_state(const State& a, const State& b) {
-  State out = a;
-  for (std::size_t i = 0; i < out.regs.size(); ++i) {
-    out.regs[i] = join_val(out.regs[i], b.regs[i]);
-  }
-  return out;
-}
-
-using FieldState = std::array<PrecVal, p4sim::kFieldCount>;
-
-FieldState join_fields(const FieldState& a, const FieldState& b) {
-  FieldState out;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = join_val(a[i], b[i]);
-  }
-  return out;
-}
-
-std::string u128_str(U128 v) {
-  if (v == 0) return "0";
-  std::string s;
-  while (v != 0) {
-    s += static_cast<char>('0' + static_cast<unsigned>(v % 10));
-    v /= 10;
-  }
-  std::reverse(s.begin(), s.end());
-  return s;
 }
 
 /// Integer square root of a U128, rounded down.
@@ -242,271 +206,243 @@ U128 span_error(const ApproxSpan& span, const PrecVal& in_a,
   return e_clamp(err);
 }
 
-/// One abstract execution of a program under the error domain.
-void transfer(const Program& p, const PrecFacts& facts,
-              const std::vector<Interval>& params,
-              const p4sim::RegisterFile& rf, const PrecisionOptions& popts,
-              State& s, FieldState& fs, std::vector<PrecVal>& temps,
-              std::vector<Word>& temp_bits) {
-  temps.assign(p4sim::kTempCount, PrecVal{});
-  temp_bits.assign(p4sim::kTempCount, 0);
-  // Input snapshots for spans whose end we have not reached yet.
-  std::vector<std::pair<PrecVal, PrecVal>> span_in(facts.spans.size());
-  std::vector<bool> span_in_set(facts.spans.size(), false);
+/// The error domain: the engine tracks and jumps each register's value
+/// high bound and its error bound (clamped to the half-ring), and widening
+/// sets a register's error to the vacuous half of its ring.
+struct PrecisionDomain {
+  using Value = PrecVal;
+  static constexpr std::size_t kTracked = 2;
 
-  for (std::size_t i = 0; i < p.code.size(); ++i) {
-    for (std::size_t k = 0; k < facts.spans.size(); ++k) {
-      if (facts.spans[k].begin == i) {
-        span_in[k] = {temps[facts.spans[k].in_a], temps[facts.spans[k].in_b]};
-        span_in_set[k] = true;
+  static std::array<U128, kTracked> tracked(const PrecVal& v) {
+    return {v.iv.hi, v.err};
+  }
+  static void jump(PrecVal& v, const std::array<PolyFit, kTracked>& fit,
+                   U128 steps) {
+    v.iv.hi = poly_jump(v.iv.hi, fit[0], steps);
+    v.err = e_clamp(poly_jump(v.err, fit[1], steps));
+  }
+  static void widen(PrecVal& v, unsigned width_bits) {
+    v.iv = join(v.iv, Interval::width(width_bits));
+    v.err = err_ring_half(width_bits);
+  }
+
+  /// One abstract execution of a program under the error domain.
+  void transfer(const StageAlternative& alt, std::vector<PrecVal>& regs,
+                FieldValues<PrecVal>& fs) {
+    const Program& p = *alt.program;
+    const PrecFacts& facts = facts_by_program.at(&p);
+    const std::vector<Interval>& params = alt.params;
+    const p4sim::RegisterFile& rf = *registers;
+    temps.assign(p4sim::kTempCount, PrecVal{});
+    temp_bits.assign(p4sim::kTempCount, 0);
+    // Input snapshots for spans whose end we have not reached yet.
+    std::vector<std::pair<PrecVal, PrecVal>> span_in(facts.spans.size());
+    std::vector<bool> span_in_set(facts.spans.size(), false);
+
+    for (std::size_t i = 0; i < p.code.size(); ++i) {
+      for (std::size_t k = 0; k < facts.spans.size(); ++k) {
+        if (facts.spans[k].begin == i) {
+          span_in[k] = {temps[facts.spans[k].in_a],
+                        temps[facts.spans[k].in_b]};
+          span_in_set[k] = true;
+        }
       }
-    }
-    const Instruction& ins = p.code[i];
-    const PrecVal a = temps[ins.a];
-    const PrecVal b = temps[ins.b];
-    bool ovf = false;
-    bool wrap = false;
-    PrecVal r;
-    switch (ins.op) {
-      case Op::kConst: r.iv = Interval::constant(ins.imm); break;
-      case Op::kParam:
-        r.iv =
-            ins.imm < params.size() ? params[ins.imm] : Interval::constant(0);
-        break;
-      case Op::kMov: r = a; break;
-      case Op::kAdd:
-        // Ring translation: wrapping changes nothing mod 2^64.
-        r.iv = iv_add(a.iv, b.iv, &ovf);
-        r.err = e_clamp(sat_add(a.err, b.err));
-        r.absolute = a.absolute && b.absolute && !ovf;
-        break;
-      case Op::kSub:
-        r.iv = iv_sub(a.iv, b.iv, &wrap);
-        r.err = e_clamp(sat_add(a.err, b.err));
-        r.absolute = a.absolute && b.absolute && !wrap;
-        break;
-      case Op::kMul:
-        r.iv = iv_mul(a.iv, b.iv, &ovf);
-        if (a.err == 0 && b.err == 0) {
-          r.err = 0;
-        } else if (a.absolute && b.absolute) {
-          // |a^b^ - ab| <= ea*b + eb*a + ea*eb, impl values capped at 2^64.
-          r.err = sat_mul(a.err, impl_cap(b.iv));
-          r.err = sat_add(r.err, sat_mul(b.err, impl_cap(a.iv)));
-          r.err = sat_add(r.err, sat_mul(a.err, b.err) >> kErrFracBits);
+      const Instruction& ins = p.code[i];
+      const PrecVal a = temps[ins.a];
+      const PrecVal b = temps[ins.b];
+      bool ovf = false;
+      bool wrap = false;
+      PrecVal r;
+      // The ALU ops take their interval from iv_alu; the switch adds their
+      // error and models every other op.
+      r.iv = iv_alu(ins.op, a.iv, b.iv, temps[ins.c].iv, &ovf, &wrap);
+      switch (ins.op) {
+        case Op::kConst: r.iv = Interval::constant(ins.imm); break;
+        case Op::kParam:
+          r.iv =
+              ins.imm < params.size() ? params[ins.imm] : Interval::constant(0);
+          break;
+        case Op::kMov: r = a; break;
+        case Op::kAdd:
+        case Op::kSub:
+          // Ring translation: wrapping changes nothing mod 2^64.
+          r.err = e_clamp(sat_add(a.err, b.err));
+          r.absolute = a.absolute && b.absolute && !ovf && !wrap;
+          break;
+        case Op::kMul:
+          if (a.err == 0 && b.err == 0) {
+            r.err = 0;
+          } else if (a.absolute && b.absolute) {
+            // |a^b^ - ab| <= ea*b + eb*a + ea*eb, impl values capped at 2^64.
+            r.err = sat_mul(a.err, impl_cap(b.iv));
+            r.err = sat_add(r.err, sat_mul(b.err, impl_cap(a.iv)));
+            r.err = sat_add(r.err, sat_mul(a.err, b.err) >> kErrFracBits);
+            r.err = e_clamp(r.err);
+            r.absolute = !ovf;
+          } else {
+            r.err = kErrTop;
+            r.absolute = false;
+          }
+          break;
+        case Op::kShl: {
+          const Interval sh = iv_shift_amount(b.iv);
+          const unsigned s_hi = static_cast<unsigned>(sh.hi);
+          // (d + k*2^64)*2^s keeps the multiple, so ring errors scale too.
+          r.err = e_clamp(sat_shl(a.err, s_hi));
+          r.absolute = a.absolute && !ovf;
+          break;
+        }
+        case Op::kShr: {
+          const Interval sh = iv_shift_amount(b.iv);
+          const unsigned s_lo = static_cast<unsigned>(sh.lo);
+          const unsigned s_hi = static_cast<unsigned>(sh.hi);
+          // Exact division when the DAG proves the shifted-out bits are 0.
+          const Word low_mask =
+              s_hi >= 64 ? ~Word{0} : ((Word{1} << s_hi) - 1);
+          const bool impl_exact = (temp_bits[ins.a] & low_mask) == 0;
+          if (a.err == 0) {
+            r.err = impl_exact ? 0 : shr_trunc_term(s_hi);
+          } else if (a.absolute) {
+            // ideal/2^s vs impl>>s: input error divides (floored: +1 ulp),
+            // truncation adds.
+            r.err = sat_add(a.err >> s_lo, 1);
+            if (!impl_exact) r.err = sat_add(r.err, shr_trunc_term(s_hi));
+          } else {
+            // A ring-only representative divided by 2^s is meaningless.
+            r.err = kErrTop;
+          }
+          if (popts->unsound_drop_shr_truncation && a.err == 0) {
+            r.err = 0;  // deliberately wrong; see PrecisionOptions
+          }
           r.err = e_clamp(r.err);
-          r.absolute = !ovf;
-        } else {
-          r.err = kErrTop;
-          r.absolute = false;
-        }
-        break;
-      case Op::kShl: {
-        r.iv = iv_shl(a.iv, b.iv, &ovf);
-        const Interval sh = iv_shift_amount(b.iv);
-        const unsigned s_hi = static_cast<unsigned>(sh.hi);
-        // (d + k*2^64)*2^s keeps the multiple, so ring errors scale too.
-        r.err = e_clamp(sat_shl(a.err, s_hi));
-        r.absolute = a.absolute && !ovf;
-        break;
-      }
-      case Op::kShr: {
-        r.iv = iv_shr(a.iv, b.iv);
-        const Interval sh = iv_shift_amount(b.iv);
-        const unsigned s_lo = static_cast<unsigned>(sh.lo);
-        const unsigned s_hi = static_cast<unsigned>(sh.hi);
-        // Exact division when the DAG proves the shifted-out bits are 0.
-        const Word low_mask =
-            s_hi >= 64 ? ~Word{0} : ((Word{1} << s_hi) - 1);
-        const bool impl_exact = (temp_bits[ins.a] & low_mask) == 0;
-        if (a.err == 0) {
-          r.err = impl_exact ? 0 : shr_trunc_term(s_hi);
-        } else if (a.absolute) {
-          // ideal/2^s vs impl>>s: input error divides (floored: +1 ulp),
-          // truncation adds.
-          r.err = sat_add(a.err >> s_lo, 1);
-          if (!impl_exact) r.err = sat_add(r.err, shr_trunc_term(s_hi));
-        } else {
-          // A ring-only representative divided by 2^s is meaningless.
-          r.err = kErrTop;
-        }
-        if (popts.unsound_drop_shr_truncation && a.err == 0) {
-          r.err = 0;  // deliberately wrong; see PrecisionOptions
-        }
-        r.err = e_clamp(r.err);
-        r.absolute = r.err < kErrTop;
-        break;
-      }
-      // Bitwise ops with one error-free operand are re-anchoring points:
-      // the ideal is redefined as the implemented result plus the input
-      // deviation wrapped onto the 2^k ring that provably contains the
-      // result (the oracle implements exactly this).  Multiples of 2^64
-      // vanish under the wrap, so even ring-only input errors come out
-      // absolute.  For AND the result fits the narrower operand; for OR
-      // and XOR it fits the union of both operands' bit ranges.
-      case Op::kAnd: {
-        r.iv = iv_and(a.iv, b.iv);
-        if (a.err == 0 && b.err == 0) {
-          r.err = 0;
-        } else if (a.err == 0 || b.err == 0) {
-          const PrecVal& x = a.err == 0 ? b : a;
-          const unsigned k =
-              std::min(value_width(a.iv, temp_bits[ins.a]),
-                       value_width(b.iv, temp_bits[ins.b]));
-          r.err = std::min(x.err, err_ring_half(k));
           r.absolute = r.err < kErrTop;
-        } else {
-          r.err = kErrTop;
-          r.absolute = false;
+          break;
         }
-        break;
-      }
-      case Op::kOr:
-      case Op::kXor: {
-        r.iv = ins.op == Op::kOr ? iv_or(a.iv, b.iv) : iv_xor(a.iv, b.iv);
-        if (a.err == 0 && b.err == 0) {
-          r.err = 0;
-        } else if (a.err == 0 || b.err == 0) {
-          const PrecVal& x = a.err == 0 ? b : a;
-          const unsigned k =
-              std::max(value_width(a.iv, temp_bits[ins.a]),
-                       value_width(b.iv, temp_bits[ins.b]));
-          r.err = std::min(x.err, err_ring_half(k));
-          r.absolute = r.err < kErrTop;
-        } else {
-          r.err = kErrTop;
-          r.absolute = false;
+        // Bitwise ops with one error-free operand are re-anchoring points:
+        // the ideal is redefined as the implemented result plus the input
+        // deviation wrapped onto the 2^k ring that provably contains the
+        // result (the oracle implements exactly this).  Multiples of 2^64
+        // vanish under the wrap, so even ring-only input errors come out
+        // absolute.  For AND the result fits the narrower operand; for OR
+        // and XOR it fits the union of both operands' bit ranges.
+        case Op::kAnd: {
+          if (a.err == 0 && b.err == 0) {
+            r.err = 0;
+          } else if (a.err == 0 || b.err == 0) {
+            const PrecVal& x = a.err == 0 ? b : a;
+            const unsigned k =
+                std::min(value_width(a.iv, temp_bits[ins.a]),
+                         value_width(b.iv, temp_bits[ins.b]));
+            r.err = std::min(x.err, err_ring_half(k));
+            r.absolute = r.err < kErrTop;
+          } else {
+            r.err = kErrTop;
+            r.absolute = false;
+          }
+          break;
         }
-        break;
-      }
-      case Op::kNot:
-        // ~x = 2^64-1-x in both worlds: error passes through.
-        r.iv = iv_not(a.iv);
-        r.err = a.err;
-        r.absolute = a.absolute;
-        break;
-      // Mixed semantics: the ideal follows the implementation's control
-      // decisions, so comparison outputs are exact by definition.
-      case Op::kEq: r.iv = iv_eq(a.iv, b.iv); break;
-      case Op::kNe: {
-        const Interval e = iv_eq(a.iv, b.iv);
-        r.iv = iv_bool(e.hi == 0, e.lo == 1);
-        break;
-      }
-      case Op::kLt: r.iv = iv_lt(a.iv, b.iv); break;
-      case Op::kGt: r.iv = iv_lt(b.iv, a.iv); break;
-      case Op::kLe: r.iv = iv_le(a.iv, b.iv); break;
-      case Op::kGe: r.iv = iv_le(b.iv, a.iv); break;
-      case Op::kSelect: {
-        const PrecVal& c = temps[ins.c];
-        r.iv = iv_select(a.iv, b.iv, c.iv);
-        if (a.iv.lo >= 1) {
-          r.err = b.err;
-          r.absolute = b.absolute;
-        } else if (a.iv.hi == 0) {
-          r.err = c.err;
-          r.absolute = c.absolute;
-        } else {
-          r.err = std::max(b.err, c.err);
-          r.absolute = b.absolute && c.absolute;
+        case Op::kOr:
+        case Op::kXor: {
+          if (a.err == 0 && b.err == 0) {
+            r.err = 0;
+          } else if (a.err == 0 || b.err == 0) {
+            const PrecVal& x = a.err == 0 ? b : a;
+            const unsigned k =
+                std::max(value_width(a.iv, temp_bits[ins.a]),
+                         value_width(b.iv, temp_bits[ins.b]));
+            r.err = std::min(x.err, err_ring_half(k));
+            r.absolute = r.err < kErrTop;
+          } else {
+            r.err = kErrTop;
+            r.absolute = false;
+          }
+          break;
         }
-        break;
-      }
-      case Op::kLoadField:
-        r = fs[static_cast<std::size_t>(ins.field)];
-        break;
-      case Op::kStoreField: {
-        const unsigned w = field_bits(ins.field);
-        PrecVal stored = a;
-        stored.err = std::min(stored.err, err_ring_half(w));
-        stored.absolute = true;  // width-masked store re-anchors the ideal
-        fs[static_cast<std::size_t>(ins.field)] = stored;
-        continue;
-      }
-      case Op::kLoadReg:
-        if (ins.reg < s.regs.size()) {
-          r = s.regs[ins.reg];
-        } else {
-          r.iv = Interval::top64();
-          r.err = kErrTop;
-          r.absolute = false;
+        case Op::kNot:
+          // ~x = 2^64-1-x in both worlds: error passes through.
+          r.err = a.err;
+          r.absolute = a.absolute;
+          break;
+        // Mixed semantics: the ideal follows the implementation's control
+        // decisions, so comparison outputs are exact by definition.
+        case Op::kEq:
+        case Op::kNe:
+        case Op::kLt:
+        case Op::kGt:
+        case Op::kLe:
+        case Op::kGe: break;
+        case Op::kSelect: {
+          const PrecVal& c = temps[ins.c];
+          if (a.iv.lo >= 1) {
+            r.err = b.err;
+            r.absolute = b.absolute;
+          } else if (a.iv.hi == 0) {
+            r.err = c.err;
+            r.absolute = c.absolute;
+          } else {
+            r.err = std::max(b.err, c.err);
+            r.absolute = b.absolute && c.absolute;
+          }
+          break;
         }
-        break;
-      case Op::kStoreReg: {
-        if (ins.reg >= s.regs.size()) continue;
-        const unsigned w = rf.info(ins.reg).width_bits;
-        PrecVal stored = b;
-        stored.iv = b.iv;
-        stored.err = std::min(stored.err, err_ring_half(w));
-        stored.absolute = true;  // width-masked store re-anchors the ideal
-        s.regs[ins.reg] = join_val(s.regs[ins.reg], stored);
-        continue;
+        case Op::kLoadField:
+          r = fs[static_cast<std::size_t>(ins.field)];
+          break;
+        case Op::kStoreField: {
+          const unsigned w = field_bits(ins.field);
+          PrecVal stored = a;
+          stored.err = std::min(stored.err, err_ring_half(w));
+          stored.absolute = true;  // width-masked store re-anchors the ideal
+          fs[static_cast<std::size_t>(ins.field)] = stored;
+          continue;
+        }
+        case Op::kLoadReg:
+          if (ins.reg < regs.size()) {
+            r = regs[ins.reg];
+          } else {
+            r.iv = Interval::top64();
+            r.err = kErrTop;
+            r.absolute = false;
+          }
+          break;
+        case Op::kStoreReg: {
+          if (ins.reg >= regs.size()) continue;
+          const unsigned w = rf.info(ins.reg).width_bits;
+          PrecVal stored = b;
+          stored.iv = b.iv;
+          stored.err = std::min(stored.err, err_ring_half(w));
+          stored.absolute = true;  // width-masked store re-anchors the ideal
+          regs[ins.reg] = join(regs[ins.reg], stored);
+          continue;
+        }
+        // Hashing selects indices; the ideal uses the same hash of the same
+        // implemented key (mixed semantics), so the result is exact.
+        case Op::kHash1:
+        case Op::kHash2: r.iv = Interval::top64(); break;
+        case Op::kDigest: continue;
       }
-      // Hashing selects indices; the ideal uses the same hash of the same
-      // implemented key (mixed semantics), so the result is exact.
-      case Op::kHash1:
-      case Op::kHash2: r.iv = Interval::top64(); break;
-      case Op::kDigest: continue;
-    }
-    temps[ins.dst] = r;
-    if (i < facts.bits.size()) temp_bits[ins.dst] = facts.bits[i];
-    const int span_idx = facts.span_ending_at[i];
-    if (span_idx >= 0 && span_in_set[static_cast<std::size_t>(span_idx)]) {
-      // The span's declared contract replaces whatever the literal shift
-      // body would prove: the ORACLE's ideal applies the real function at
-      // this point, so the bound must be against that ideal.
-      const ApproxSpan& span = facts.spans[static_cast<std::size_t>(span_idx)];
-      const auto& [in_a, in_b] = span_in[static_cast<std::size_t>(span_idx)];
-      PrecVal& out = temps[span.out];
-      out.err = span_error(span, in_a, in_b, out.iv);
-      out.absolute = out.err < kErrTop;
+      temps[ins.dst] = r;
+      if (i < facts.bits.size()) temp_bits[ins.dst] = facts.bits[i];
+      const int span_idx = facts.span_ending_at[i];
+      if (span_idx >= 0 && span_in_set[static_cast<std::size_t>(span_idx)]) {
+        // The span's declared contract replaces whatever the literal shift
+        // body would prove: the ORACLE's ideal applies the real function at
+        // this point, so the bound must be against that ideal.
+        const auto k = static_cast<std::size_t>(span_idx);
+        const ApproxSpan& span = facts.spans[k];
+        const auto& [in_a, in_b] = span_in[k];
+        PrecVal& out = temps[span.out];
+        out.err = span_error(span, in_a, in_b, out.iv);
+        out.absolute = out.err < kErrTop;
+      }
     }
   }
-}
 
-struct Stepper {
-  const AbstractPipeline* pipe = nullptr;
-  const AnalysisOptions* options = nullptr;
+  const p4sim::RegisterFile* registers = nullptr;
   const PrecisionOptions* popts = nullptr;
-  const std::map<const Program*, PrecFacts>* facts = nullptr;
+  std::map<const Program*, PrecFacts> facts_by_program;
   std::vector<PrecVal> temps;
   std::vector<Word> temp_bits;
-
-  FieldState initial_fields() const {
-    FieldState fs;
-    for (std::size_t i = 0; i < fs.size(); ++i) {
-      const auto f = static_cast<FieldRef>(i);
-      fs[i].iv = Interval::width(field_bits(f));
-      if (f == FieldRef::kMetaIngressTs) {
-        fs[i].iv = Interval{0, options->timestamp_bound_ns};
-      }
-    }
-    for (const auto& [field, hi] : options->field_bounds) {
-      fs[static_cast<std::size_t>(field)].iv = Interval{0, hi};
-    }
-    return fs;
-  }
-
-  State step(const State& s, FieldState* final_fields = nullptr) {
-    State cur = s;
-    FieldState fs = initial_fields();
-    for (const auto& stage : pipe->stages) {
-      State merged = cur;
-      FieldState fmerged = fs;
-      for (const auto& alt : stage) {
-        State t = cur;
-        FieldState ft = fs;
-        transfer(*alt.program, facts->at(alt.program), alt.params,
-                 *pipe->registers, *popts, t, ft, temps, temp_bits);
-        merged = join_state(merged, t);
-        fmerged = join_fields(fmerged, ft);
-      }
-      cur = merged;
-      fs = fmerged;
-    }
-    if (final_fields != nullptr) *final_fields = fs;
-    return join_state(s, cur);
-  }
 };
 
 }  // namespace
@@ -536,17 +472,18 @@ PrecisionResult run_precision_pass(const AbstractPipeline& pipeline,
                                    const AnalysisOptions& options,
                                    const PrecisionOptions& popts) {
   PrecisionResult result;
-  const std::size_t arrays = pipeline.registers->array_count();
 
   // Per-program facts: possible-bits + validated spans (S4-PREC-004).
-  std::map<const Program*, PrecFacts> facts;
+  PrecisionDomain domain;
+  domain.registers = pipeline.registers;
+  domain.popts = &popts;
   std::bitset<p4sim::kFieldCount> written_fields;
   for (const auto& stage : pipeline.stages) {
     for (const auto& alt : stage) {
-      if (facts.count(alt.program) == 0) {
-        facts.emplace(alt.program,
-                      build_facts(*alt.program, *pipeline.registers,
-                                  &result.diags));
+      if (domain.facts_by_program.count(alt.program) == 0) {
+        domain.facts_by_program.emplace(
+            alt.program,
+            build_facts(*alt.program, *pipeline.registers, &result.diags));
       }
       for (const Instruction& ins : alt.program->code) {
         if (ins.op == Op::kStoreField) {
@@ -556,140 +493,57 @@ PrecisionResult run_precision_pass(const AbstractPipeline& pipeline,
     }
   }
 
-  State s;
-  s.regs.assign(arrays, PrecVal{});
-  Stepper stepper{&pipeline, &options, &popts, &facts, {}, {}};
+  FixpointEngine<PrecisionDomain> engine(pipeline, options, domain);
+  const FixpointRun<PrecVal> run = engine.run();
 
-  const std::uint64_t target =
-      std::max<std::uint64_t>(1, options.max_observations);
-  // Two accelerated histories per array: value high bound and error bound.
-  std::vector<AccelHistory> hist_hi(arrays);
-  std::vector<AccelHistory> hist_err(arrays);
-  for (auto& h : hist_hi) h.fill(0);
-  for (auto& h : hist_err) h.fill(0);
+  // Final abstract packet: captures end-of-pipeline field state.
+  FieldValues<PrecVal> fields;
+  const std::vector<PrecVal> regs = engine.step(run.regs, &fields);
 
-  std::uint64_t iter = 0;   // observations covered (jumps count in full)
-  std::uint64_t steps = 0;  // abstract packets actually executed
-  bool fixpoint = false;
-  bool extrapolated = false;
-  std::vector<std::size_t> unproven;
-
-  const auto exact_steps = [&](std::uint64_t until) {
-    while (iter < until) {
-      State next = stepper.step(s);
-      ++iter;
-      ++steps;
-      for (std::size_t r = 0; r < arrays; ++r) {
-        accel_push(hist_hi[r], next.regs[r].iv.hi);
-        accel_push(hist_err[r], next.regs[r].err);
-      }
-      if (next == s) {
-        fixpoint = true;
-        return;
-      }
-      s = std::move(next);
+  const std::string scope =
+      run.fixpoint ? "for any packet count"
+                   : "within " + std::to_string(run.observations) +
+                         " observations";
+  // S4-PREC-001 for a vacuous bound, S4-PREC-003 for a finite non-zero one.
+  const auto report_accuracy = [&](const char* kind, const ErrorBound& eb) {
+    const std::string what = std::string(kind) + " '" + eb.name + "'";
+    if (eb.vacuous) {
+      result.diags.report(
+          "S4-PREC-001", Severity::kError,
+          what + " carries a vacuous error bound (half the " +
+              std::to_string(eb.width_bits) + "-bit ring): the analysis "
+              "proves nothing about its accuracy " + scope,
+          SourceLoc{pipeline.name, -1, eb.name});
+    } else if (eb.err_q32 != 0) {
+      result.diags.report(
+          "S4-PREC-003", Severity::kNote,
+          what + " proven max |error| " + err_q32_str(eb.err_q32) +
+              " vs implemented bound " + std::to_string(eb.value_hi) + " " +
+              scope,
+          SourceLoc{pipeline.name, -1, eb.name});
     }
   };
 
-  exact_steps(std::min<std::uint64_t>(target, options.warmup_iterations));
-
-  if (!fixpoint && iter < target) {
-    bool all_poly = true;
-    std::vector<std::array<U128, 4>> fits(arrays, {0, 0, 0, 0});
-    for (std::size_t r = 0; r < arrays && all_poly; ++r) {
-      auto& f = fits[r];
-      if (hist_hi[r][kAccelWindow - 1] != hist_hi[r][0]) {
-        all_poly = poly_fit(hist_hi[r], &f[0], &f[1]);
-      }
-      if (all_poly && hist_err[r][kAccelWindow - 1] != hist_err[r][0]) {
-        all_poly = poly_fit(hist_err[r], &f[2], &f[3]);
-      }
-    }
-    if (all_poly && iter >= kAccelWindow) {
-      const U128 remaining = target - iter;
-      for (std::size_t r = 0; r < arrays; ++r) {
-        s.regs[r].iv.hi =
-            poly_jump(s.regs[r].iv.hi, fits[r][0], fits[r][1], remaining);
-        s.regs[r].err = e_clamp(
-            poly_jump(s.regs[r].err, fits[r][2], fits[r][3], remaining));
-      }
-      iter = target;
-      extrapolated = true;
-      for (int settle = 0; settle < 4 && !fixpoint; ++settle) {
-        State next = stepper.step(s);
-        ++steps;
-        if (next == s) fixpoint = true;
-        s = std::move(next);
-      }
-    } else {
-      exact_steps(
-          std::min<std::uint64_t>(target, options.max_exact_iterations));
-      if (!fixpoint && iter < target) {
-        State probe = stepper.step(s);
-        ++steps;
-        for (std::size_t r = 0; r < arrays; ++r) {
-          if (!(probe.regs[r] == s.regs[r])) {
-            unproven.push_back(r);
-            const unsigned w =
-                pipeline.registers->info(static_cast<p4sim::RegisterId>(r))
-                    .width_bits;
-            probe.regs[r].iv = join(probe.regs[r].iv, Interval::width(w));
-            probe.regs[r].err = err_ring_half(w);
-          }
-        }
-        s = std::move(probe);
-        iter = target;
-        for (int settle = 0; settle < 2; ++settle) {
-          s = stepper.step(s);
-          ++steps;
-        }
-      }
-    }
-  }
-
-  // Final abstract packet: captures end-of-pipeline field state.
-  FieldState fields;
-  s = stepper.step(s, &fields);
-  ++steps;
-
-  const std::string scope =
-      fixpoint ? "for any packet count"
-               : "within " + std::to_string(target) + " observations";
-
-  std::set<std::size_t> assumed(unproven.begin(), unproven.end());
-  for (std::size_t r = 0; r < arrays; ++r) {
+  for (std::size_t r = 0; r < regs.size(); ++r) {
     const auto& info =
         pipeline.registers->info(static_cast<p4sim::RegisterId>(r));
     ErrorBound eb;
     eb.name = info.name;
     eb.width_bits = info.width_bits;
-    eb.value_hi = clamp_u64(s.regs[r].iv.hi);
-    eb.err_q32 = s.regs[r].err;
+    eb.value_hi = clamp_u64(regs[r].iv.hi);
+    eb.err_q32 = regs[r].err;
     eb.vacuous = eb.err_q32 >= err_ring_half(info.width_bits);
-    eb.assumed = assumed.count(r) != 0;
+    eb.assumed = run.widened[r];
     if (eb.assumed) {
       result.diags.report(
           "S4-PREC-002", Severity::kWarning,
           "register '" + eb.name + "' error growth did not stabilize and is "
-              "not polynomial; its error bound at " + std::to_string(target) +
+              "not polynomial; its error bound at " +
+              std::to_string(run.observations) +
               " observations is assumed at the vacuous half-ring, not proven",
           SourceLoc{pipeline.name, -1, eb.name});
     }
-    if (eb.vacuous) {
-      result.diags.report(
-          "S4-PREC-001", Severity::kError,
-          "register '" + eb.name + "' carries a vacuous error bound (half "
-              "the " + std::to_string(info.width_bits) + "-bit ring): the "
-              "analysis proves nothing about its accuracy " + scope,
-          SourceLoc{pipeline.name, -1, eb.name});
-    } else if (eb.err_q32 != 0) {
-      result.diags.report(
-          "S4-PREC-003", Severity::kNote,
-          "register '" + eb.name + "' proven max |error| " +
-              err_q32_str(eb.err_q32) + " vs implemented bound " +
-              std::to_string(eb.value_hi) + " " + scope,
-          SourceLoc{pipeline.name, -1, eb.name});
-    }
+    report_accuracy("register", eb);
     result.register_bounds.push_back(std::move(eb));
   }
 
@@ -703,27 +557,13 @@ PrecisionResult run_precision_pass(const AbstractPipeline& pipeline,
     eb.value_hi = clamp_u64(fields[f].iv.hi);
     eb.err_q32 = fields[f].err;
     eb.vacuous = eb.err_q32 >= err_ring_half(w);
-    if (eb.vacuous) {
-      result.diags.report(
-          "S4-PREC-001", Severity::kError,
-          "field '" + eb.name + "' carries a vacuous error bound (half the " +
-              std::to_string(w) + "-bit ring): the analysis proves nothing "
-              "about its accuracy " + scope,
-          SourceLoc{pipeline.name, -1, eb.name});
-    } else if (eb.err_q32 != 0) {
-      result.diags.report(
-          "S4-PREC-003", Severity::kNote,
-          "field '" + eb.name + "' proven max |error| " +
-              err_q32_str(eb.err_q32) + " vs implemented bound " +
-              std::to_string(eb.value_hi) + " " + scope,
-          SourceLoc{pipeline.name, -1, eb.name});
-    }
+    report_accuracy("field", eb);
     result.field_bounds.push_back(std::move(eb));
   }
 
-  result.iterations = steps;
-  result.fixpoint = fixpoint;
-  result.extrapolated = extrapolated;
+  result.iterations = run.steps + 1;  // the final step included
+  result.fixpoint = run.fixpoint;
+  result.extrapolated = run.extrapolated;
   result.diags.sort();
   return result;
 }

@@ -28,10 +28,9 @@
 // arithmetic, so sub-unit contributions (truncation terms, declared
 // fractional error) accumulate without rounding to zero or overflowing.
 //
-// The fixpoint engine mirrors the overflow pass: one abstract packet per
-// iteration, monotone joins, polynomial (degree <= 2) acceleration of both
-// the value and the error histories to the observation budget, and a
-// widen-to-vacuous fallback (S4-PREC-002) when growth is irregular.
+// The fixpoint engine is the overflow pass's (fixpoint.hpp).  It tracks both
+// the value and the error history of each register, and widening sets the
+// error to the vacuous half-ring (S4-PREC-002).
 //
 // Every bound this pass proves is empirically falsifiable: the
 // precision_differential_test replays random streams against a long-double
@@ -98,6 +97,9 @@ struct PrecisionResult {
   DiagnosticEngine diags;
   std::vector<ErrorBound> register_bounds;  ///< one per register array
   std::vector<ErrorBound> field_bounds;     ///< fields the pipeline writes
+  /// Abstract packets executed: exact, settle and probe steps plus the
+  /// final step that captures the fields.  Unlike AnalysisResult's count,
+  /// an accelerated jump adds nothing.
   std::size_t iterations = 0;
   bool fixpoint = false;
   bool extrapolated = false;

@@ -87,10 +87,6 @@ struct AnalysisOptions {
   bool run_constraints = true;
   /// Switch-level only: also lint the p4gen emission for div/mod/float/loop.
   bool lint_emitted_p4 = true;
-  /// Exact abstract iterations before polynomial acceleration kicks in.
-  std::size_t warmup_iterations = 128;
-  /// Hard cap on exact iterations when growth is not polynomial.
-  std::size_t max_exact_iterations = 4096;
 };
 
 /// Final proven bound of one register array — the "prove" artifact the CLI
@@ -106,7 +102,10 @@ struct RegisterBound {
 struct AnalysisResult {
   DiagnosticEngine diags;
   std::vector<RegisterBound> register_bounds;
-  std::size_t iterations = 0;      ///< abstract packet iterations executed
+  /// Observations the bounds cover: `max_observations` unless a fixpoint
+  /// came first, then the exact steps that reached it.  Not the abstract
+  /// packets executed (PrecisionResult::iterations counts those).
+  std::size_t iterations = 0;
   bool fixpoint = false;           ///< state stabilized before the budget
   bool extrapolated = false;       ///< polynomial acceleration was applied
   [[nodiscard]] bool ok() const noexcept { return !diags.has_errors(); }
