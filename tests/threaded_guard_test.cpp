@@ -30,7 +30,7 @@
 #include "sketch/apps.hpp"
 #include "stat4/types.hpp"
 #include "stat4p4/stat4p4.hpp"
-#include "support/ir_gen.hpp"
+#include "support/guard_fuzz.hpp"
 
 namespace {
 
@@ -75,15 +75,7 @@ void expect_same_registers(const P4Switch& ref, const P4Switch& got,
   }
 }
 
-/// Union of every installed action's read-before-write set — the
-/// `observable` argument P4Switch lowers each action with.
-std::bitset<p4sim::kTempCount> observable_of(const P4Switch& sw) {
-  std::bitset<p4sim::kTempCount> obs;
-  for (std::size_t a = 0; a < sw.action_count(); ++a) {
-    obs |= p4sim::read_before_write(sw.action(static_cast<p4sim::ActionId>(a)));
-  }
-  return obs;
-}
+using test_support::observable_of;
 
 /// Lowers the switch's action named `name` exactly as the switch would.
 p4sim::ThreadedProgram lower_action(P4Switch& sw, const std::string& name) {
@@ -95,18 +87,6 @@ p4sim::ThreadedProgram lower_action(P4Switch& sw, const std::string& name) {
   }
   ADD_FAILURE() << "no action named " << name;
   return {};
-}
-
-/// Loads every packet field and digests it (id 100 + field), so the digest
-/// stream carries each field as the earlier stages left it.
-Program field_exporter() {
-  ProgramBuilder b("export_fields");
-  const TempId one = b.konst(1);
-  for (std::size_t f = 0; f < p4sim::kFieldCount; ++f) {
-    const TempId v = b.load_field(static_cast<FieldRef>(f));
-    b.digest_if(one, static_cast<std::uint32_t>(100 + f), v, v, v);
-  }
-  return b.take();
 }
 
 Packet random_packet(std::mt19937_64& rng, stat4::TimeNs ts) {
@@ -134,57 +114,13 @@ Packet random_packet(std::mt19937_64& rng, stat4::TimeNs ts) {
   return pkt;
 }
 
-/// Action data drawn like the generator's constants: zero often enough
-/// that kParam-guarded blocks are skipped on some packets.
-std::vector<Word> random_action_data(std::mt19937_64& rng) {
-  std::vector<Word> data(4);
-  for (Word& w : data) w = rng() % 3 == 0 ? 0 : rng() % 5;
-  return data;
-}
-
-/// One switch of the fuzz pair: two random actions, each applied through a
-/// table keyed on the ingress port (so action data — and with it the
-/// kParam guards — changes packet by packet), then the field exporter.
-std::unique_ptr<P4Switch> fuzz_switch(std::uint64_t seed,
-                                      const test_support::IrGenOptions& opt,
-                                      Program* first_action) {
-  auto sw = std::make_unique<P4Switch>("fuzz");
-  const std::vector<p4sim::RegisterId> regs =
-      test_support::declare_gen_registers(sw->registers());
-  std::mt19937_64 rng(seed ^ 0x5eedULL);
-  for (int k = 0; k < 2; ++k) {
-    Program prog = test_support::random_program(
-        seed * 2 + static_cast<std::uint64_t>(k), sw->registers(), regs, opt);
-    if (k == 0 && first_action != nullptr) *first_action = prog;
-    const p4sim::ActionId action = sw->add_action(std::move(prog));
-    const p4sim::TableId table = sw->add_table(
-        "t" + std::to_string(k),
-        {p4sim::KeySpec{FieldRef::kMetaIngressPort, p4sim::MatchKind::kExact}});
-    for (Word port = 0; port < 3; ++port) {
-      p4sim::TableEntry e;
-      p4sim::KeyMatch km;
-      km.value = port;
-      e.key.push_back(km);
-      e.action = action;
-      e.action_data = random_action_data(rng);
-      (void)sw->table(table).insert(std::move(e));
-    }
-    sw->table(table).set_default_action(action, random_action_data(rng));
-    sw->add_table_stage(table);
-  }
-  sw->add_program_stage(sw->add_action(field_exporter()));
-  return sw;
-}
-
 TEST(GuardedRuns, RandomIrMatchesInterpreterAcrossPacketStreams) {
-  test_support::IrGenOptions opt;
-  opt.guarded_block_percent = 20;
-  opt.max_instructions = 64;
+  const test_support::IrGenOptions opt = test_support::guard_fuzz_options();
   int guarded_programs = 0;
-  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+  for (std::uint64_t seed = 1; seed <= test_support::kGuardFuzzSeeds; ++seed) {
     Program first;
-    const auto ref = fuzz_switch(seed, opt, &first);
-    const auto got = fuzz_switch(seed, opt, nullptr);
+    const auto ref = test_support::fuzz_switch(seed, opt, &first);
+    const auto got = test_support::fuzz_switch(seed, opt, nullptr);
     ref->set_exec_tier(ExecTier::kReference);  // fresh temps per packet
     got->set_exec_tier(ExecTier::kThreaded);
     if (p4sim::threaded_compile(first, got->registers(), observable_of(*got))
