@@ -5,6 +5,7 @@
 
 #include "p4sim/jit/transpiler.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/span.hpp"
 
 namespace p4sim {
 namespace {
@@ -133,6 +134,13 @@ const Program& P4Switch::action(ActionId id) const {
 }
 
 void P4Switch::compile_pipeline() {
+  // The stall a configuration write costs the next packet.
+  STAT4_TELEMETRY_ONLY(
+      static telemetry::Counter& relowers =
+          telemetry::MetricsRegistry::global().counter("p4sim.relowers");
+      static telemetry::Histogram& relower_ns =
+          telemetry::MetricsRegistry::global().histogram("p4sim.relower_ns");
+      relowers.add(); const telemetry::SpanTimer relower_span(relower_ns);)
   ++pipeline_compiles_;
   compiled_.clear();
   compiled_.reserve(pipeline_.size());

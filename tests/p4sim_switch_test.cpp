@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "p4sim/p4sim.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace p4sim {
 namespace {
@@ -137,6 +138,27 @@ TEST(P4Switch, ProfileValidatedAtActionRegistration) {
   const TempId r = b.mul(b.konst(2), b.konst(3));
   b.store_field(FieldRef::kMetaEgressSpec, r);
   EXPECT_THROW(sw.add_action(b.take()), std::invalid_argument);
+}
+
+TEST(P4Switch, ReplaceActionBetweenPacketsRelowersOnce) {
+#if !STAT4_TELEMETRY_ENABLED
+  GTEST_SKIP() << "telemetry is compiled out";
+#else
+  // The registry is process-global, so compare deltas.
+  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
+  const auto relowers = [&] { return reg.counter("p4sim.relowers").value(); };
+  const auto timed = [&] {
+    return reg.histogram("p4sim.relower_ns").snapshot().count;
+  };
+  MiniSwitch m;
+  (void)m.sw.process(make_udp_packet(1, ipv4(10, 0, 5, 6), 7, 8));
+  const std::uint64_t relowers_before = relowers();
+  const std::uint64_t timed_before = timed();
+  m.sw.replace_action(m.drop, Program(m.sw.action(m.drop)));
+  (void)m.sw.process(make_udp_packet(1, ipv4(10, 0, 5, 6), 7, 8));
+  EXPECT_EQ(relowers() - relowers_before, 1u);
+  EXPECT_EQ(timed() - timed_before, 1u);
+#endif
 }
 
 // ------------------------------------------------------ dependency analyzer
