@@ -3,18 +3,19 @@
 #
 # Compiles every src/analysis/*.cpp, src/sketch/*.cpp and src/control/ml/*.cpp
 # translation unit, plus the p4sim op table's consumers outside src/analysis/
-# (the interpreter, disassembler, dependency analyzer and both code
-# emitters), with the interprocedural path-sensitive analyzer and fails on
-# any finding — the verifier that gates everyone else's code gets a gate of
-# its own, and the sketch/ML layers ride along because they are likewise
-# single-TU-provable (no threads inside a TU, no externs, arithmetic-heavy
-# code where -fanalyzer's bounds/taint paths actually bite).
+# (the interpreter, the threaded lowering, disassembler, dependency analyzer
+# and both code emitters) and the other per-packet p4sim TUs (switch, table,
+# parser, register file), with the interprocedural path-sensitive analyzer
+# and fails on any finding — the verifier that gates everyone else's code
+# gets a gate of its own, and the sketch/ML layers ride along because they
+# are likewise single-TU-provable (no threads inside a TU, no externs,
+# arithmetic-heavy code where -fanalyzer's bounds/taint paths actually bite).
 #
 # Suppressions policy: add -Wno-analyzer-* flags to a SUPPRESSIONS array only
 # with a one-line triage comment naming the false-positive pattern.  The
-# list shared by src/analysis/ and the op-table consumers is empty — all
-# seventeen TUs analyze clean on g++ 12 — and must stay that way; the
-# sketch/ML list carries two triaged entries below.
+# list shared by src/analysis/, the op-table consumers and the per-packet
+# p4sim TUs is empty — all twenty-two TUs analyze clean on g++ 12 — and must
+# stay that way; the sketch/ML list carries two triaged entries below.
 #
 # Usage: scripts/analyzer.sh   (CXX overrides the compiler, default g++)
 set -euo pipefail
@@ -43,14 +44,21 @@ SKETCH_ML_SUPPRESSIONS=(
 status=0
 OP_TABLE_CONSUMERS=(
   src/p4sim/action.cpp
+  src/p4sim/threaded.cpp
   src/p4sim/disasm.cpp
   src/p4sim/dependency.cpp
   src/p4sim/jit/transpiler.cpp
   src/p4gen/emitter.cpp
 )
+P4SIM_PACKET_PATH=(
+  src/p4sim/switch.cpp
+  src/p4sim/table.cpp
+  src/p4sim/parser.cpp
+  src/p4sim/register_file.cpp
+)
 
-for src in src/analysis/*.cpp "${OP_TABLE_CONSUMERS[@]}" src/sketch/*.cpp \
-    src/control/ml/*.cpp; do
+for src in src/analysis/*.cpp "${OP_TABLE_CONSUMERS[@]}" \
+    "${P4SIM_PACKET_PATH[@]}" src/sketch/*.cpp src/control/ml/*.cpp; do
   echo "analyzer: ${src}"
   extra=("${SUPPRESSIONS[@]+"${SUPPRESSIONS[@]}"}")
   case "${src}" in
