@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bitset>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -31,11 +32,13 @@
 
 #include "telemetry/telemetry.hpp"
 
+#include "analysis/catalog.hpp"
 #include "analysis/pass_manager.hpp"
 #include "control/ml/ml.hpp"
 #include "baseline/welford.hpp"
 #include "netsim/netsim.hpp"
 #include "p4sim/craft.hpp"
+#include "p4sim/threaded.hpp"
 #include "runtime/runtime.hpp"
 #include "sketch/apps.hpp"
 #include "stat4/stat4.hpp"
@@ -351,6 +354,44 @@ void BM_NetsimHopPacket(benchmark::State& state) {
   report_tier(state, app.sw());
 }
 BENCHMARK(BM_NetsimHopPacket);
+
+// ------------------------------------------------------ threaded lowering
+
+/// Lowers every action of `sw` per iteration, with the switch's observable
+/// set, as P4Switch::compile_pipeline does for the threaded tier: the work
+/// a new switch or a program write costs the next packet.
+void lower_loop(benchmark::State& state, p4sim::P4Switch& sw) {
+  std::bitset<p4sim::kTempCount> observable;
+  for (std::size_t a = 0; a < sw.action_count(); ++a) {
+    observable |=
+        p4sim::read_before_write(sw.action(static_cast<p4sim::ActionId>(a)));
+  }
+  for (auto _ : state) {
+    for (std::size_t a = 0; a < sw.action_count(); ++a) {
+      benchmark::DoNotOptimize(p4sim::threaded_compile(
+          sw.action(static_cast<p4sim::ActionId>(a)), sw.registers(),
+          observable));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sw.action_count()));
+}
+
+void BM_LowerMonitorApp(benchmark::State& state) {
+  // The case study's MonitorApp: 10 actions, five of which form guarded
+  // runs (window_tick and the four trackers).
+  const auto sw = analysis::build_example_mutable("case_study");
+  lower_loop(state, *sw);
+}
+BENCHMARK(BM_LowerMonitorApp);
+
+void BM_LowerCountSketchApp(benchmark::State& state) {
+  // No action of the count-sketch app forms a guarded run, so pass 4 gives
+  // up on every one of them.
+  sketch::SketchApp app(sketch::SketchKind::kCountSketch);
+  lower_loop(state, app.sw());
+}
+BENCHMARK(BM_LowerCountSketchApp);
 
 void BM_AnomalyScorePacket(benchmark::State& state) {
   // Controller-side ML ensemble cost per fed sample (docs/ML.md): with the
