@@ -212,7 +212,6 @@ class PassValidator {
     v.registers = registers_;
     v.dirty_on_entry = ctx.dirty_on_entry;
     v.live_out = ctx.live_out;
-    v.samples = options_.validate_samples;
     return v;
   }
 

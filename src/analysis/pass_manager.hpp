@@ -53,8 +53,6 @@ struct PassManagerOptions {
   /// Re-prove every pass's output equivalent to its input (S4-TV-*
   /// diagnostics); refuted rewrites are reverted, not installed.
   ValidateMode validate = ValidateMode::kOff;
-  /// Concrete valuations drawn per residual obligation set.
-  std::size_t validate_samples = 4096;
   /// TEST HOOK: runs on each pass's output (program, pass name) before it
   /// is validated — lets tests break a pass (drop a store, flip an opcode)
   /// and assert the validator refutes it.  Setting it forces validation on.

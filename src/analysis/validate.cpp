@@ -22,6 +22,11 @@ using sym::Word;
 
 namespace {
 
+/// Concrete valuations drawn when canonicalization leaves residual pairs,
+/// and the seed of the first ("STAT4TV").
+constexpr std::size_t kSamples = 4096;
+constexpr std::uint64_t kSampleSeed = 0x53544154'34545600ull;
+
 std::string hex(Word v) {
   if (v <= 9) return std::to_string(v);
   char buf[19];
@@ -327,8 +332,8 @@ ValidationOutcome judge(Dag& dag, const ValidateOptions& opts,
     out.method = ValidationMethod::kProved;
     return out;
   }
-  for (std::size_t s = 0; s < opts.samples; ++s) {
-    const std::uint64_t seed = opts.seed + 0x9E3779B97F4A7C15ull * (s + 1);
+  for (std::size_t s = 0; s < kSamples; ++s) {
+    const std::uint64_t seed = kSampleSeed + 0x9E3779B97F4A7C15ull * (s + 1);
     const Valuation val(seed);
     if (check(dag, obs, val)) {
       out.method = ValidationMethod::kRefuted;

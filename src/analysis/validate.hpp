@@ -80,9 +80,6 @@ struct ValidateOptions {
   TempSet dirty_on_entry;
   /// Temps a later stage may read — compared as observables.
   TempSet live_out;
-  /// Concrete valuations drawn when canonicalization leaves residual pairs.
-  std::size_t samples = 4096;
-  std::uint64_t seed = 0x53544154'34545600ull;  // "STAT4TV"
   /// DAG node budget; exceeding it yields kBudget (nothing proven).
   std::size_t max_dag_nodes = std::size_t{1} << 20;
 };
