@@ -14,7 +14,12 @@
 // Adding an opcode: append an enumerator, a table row (the static_assert
 // below checks the order) and, for a pure op, its `eval` case.  The abstract
 // transfer functions (analysis/overflow, precision, symbolic) and the
-// threaded tier's handler are the only other places that must learn it.
+// threaded tier are the only other places that must learn it: threaded.cpp
+// mirrors the enumerator in InternalOp and needs its handler, while the
+// op's row of the threaded operand model (`kModel`) comes from this table.
+// The forms the threaded tier adds of its own each take a `kModel` row by
+// hand; its static_asserts fail to compile until every one has a row and a
+// handler label.
 #pragma once
 
 #include <array>
