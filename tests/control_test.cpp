@@ -268,6 +268,27 @@ TEST(CaseStudy, PoissonArrivalsWithFourSigmaRateCheck) {
   }
 }
 
+TEST(CaseStudy, PoissonArrivalsDeterministicForFixedSeed) {
+  // Golden outcomes of a Poisson run: every pump step has its own gap, a
+  // shape the deterministic-grid goldens above never schedule.  At 4 sigma
+  // the frequency checks are blind (see the next test), so the run stops
+  // at its deadline after the rate alert.
+  CaseStudyParams params;
+  params.seed = 7;
+  params.poisson_arrivals = true;
+  params.k_sigma = 4;
+  params.k_sigma_rate = 4;
+  params.deadline = 3 * kSecond;
+  const auto out = run_case_study(params);
+  EXPECT_FALSE(out.drill.done());
+  EXPECT_FALSE(out.false_positive);
+  EXPECT_EQ(out.spike_start, 992639638);
+  EXPECT_EQ(out.detection_delay, 7416084);
+  EXPECT_EQ(out.pinpoint_delay, 0);
+  EXPECT_EQ(out.packets_sent, 526402u);
+  EXPECT_EQ(out.events, 1579172u);
+}
+
 TEST(CaseStudy, FrequencyCheckBlindAboveSqrtNMinusOneSigma) {
   // The detectability bound: with six categories, even a point mass tops
   // out at z = sqrt(5) ~ 2.24, so a 3-sigma frequency check can never fire
