@@ -25,6 +25,7 @@ NodeId Network::add_node(std::unique_ptr<Node> node) {
   node->net_ = this;
   node->id_ = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(std::move(node));
+  ports_.emplace_back();
   return nodes_.back()->id_;
 }
 
@@ -36,13 +37,20 @@ void Network::link(NodeId a, PortId pa, NodeId b, PortId pb, TimeNs delay,
   if (delay < 0) {
     throw std::invalid_argument("netsim: negative link delay");
   }
-  const auto ka = std::make_pair(a, pa);
-  const auto kb = std::make_pair(b, pb);
-  if (wires_.count(ka) != 0 || wires_.count(kb) != 0) {
+  const auto wired = [this](NodeId n, PortId p) {
+    return p < ports_[n].size() && ports_[n][p] != nullptr;
+  };
+  if (wired(a, pa) || wired(b, pb)) {
     throw std::invalid_argument("netsim: port already wired");
   }
-  wires_[ka] = Endpoint{b, pb, delay, bandwidth_bps, queue_limit, 0};
-  wires_[kb] = Endpoint{a, pa, delay, bandwidth_bps, queue_limit, 0};
+  const auto wire = [&](NodeId from, PortId out, NodeId to, PortId in) {
+    wires_.push_back(Wire{this, to, in, delay, bandwidth_bps, queue_limit, 0,
+                          sim_.add_lane(), {}});
+    if (ports_[from].size() <= out) ports_[from].resize(out + 1u);
+    ports_[from][out] = &wires_.back();
+  };
+  wire(a, pa, b, pb);
+  wire(b, pb, a, pa);
 }
 
 void Network::inject(NodeId node, PortId port, Packet pkt) {
@@ -56,58 +64,49 @@ void Network::inject(NodeId node, PortId port, Packet pkt) {
 }
 
 void Network::transmit(NodeId from, PortId port, Packet pkt) {
-  const auto it = wires_.find({from, port});
-  if (it == wires_.end()) {
+  const std::vector<Wire*>& out = ports_[from];
+  Wire* const w = port < out.size() ? out[port] : nullptr;
+  if (w == nullptr) {
     ++dropped_unwired_;
     return;
   }
-  Endpoint& ep = it->second;
 
   TimeNs depart = sim_.now();
-  if (ep.bandwidth_bps > 0) {
+  if (w->bandwidth_bps > 0) {
     // Serialization time for this frame at the link rate.
     const auto bits = static_cast<std::uint64_t>(pkt.size()) * 8;
     const auto serialization = static_cast<TimeNs>(
         (bits * static_cast<std::uint64_t>(stat4::kSecond)) /
-        ep.bandwidth_bps);
-    const TimeNs start = std::max(sim_.now(), ep.busy_until);
-    if (ep.queue_limit > 0 && serialization > 0) {
+        w->bandwidth_bps);
+    const TimeNs start = std::max(sim_.now(), w->busy_until);
+    if (w->queue_limit > 0 && serialization > 0) {
       // Occupancy = how many serialization slots are already committed
       // ahead of this packet.
       const auto backlog = static_cast<std::size_t>(
           (start - sim_.now()) / serialization);
-      if (backlog >= ep.queue_limit) {
+      if (backlog >= w->queue_limit) {
         ++dropped_queue_;  // tail drop: the congestion signal
         return;
       }
     }
-    ep.busy_until = start + serialization;
-    depart = ep.busy_until;
+    w->busy_until = start + serialization;
+    depart = w->busy_until;
   }
 
-  if (free_slots_.empty()) {
-    free_slots_.push_back(static_cast<std::uint32_t>(in_flight_.size()));
-    in_flight_.emplace_back();
-  }
-  const std::uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  in_flight_[slot] = InFlight{ep.node, ep.port, std::move(pkt)};
-  // 16 trivially copyable bytes: stored inline by std::function.
-  sim_.schedule_at(depart + ep.delay, [this, slot] { arrive(slot); });
+  sim_.schedule_lane(w->lane, depart + w->delay, &Network::arrive, w, 0);
+  w->in_flight.push_back(std::move(pkt));
 }
 
-void Network::arrive(std::uint32_t slot) {
-  // Take the packet and free the slot BEFORE on_packet: the receiver may
-  // transmit, which can grow (reallocate) the pool.
-  InFlight& f = in_flight_[slot];
-  const NodeId node = f.node;
-  const PortId port = f.port;
-  Packet pkt = std::move(f.pkt);
-  free_slots_.push_back(slot);
-  pkt.ingress_port = port;
-  pkt.ingress_ts = sim_.now();
-  ++delivered_;
-  nodes_[node]->on_packet(port, std::move(pkt));
+void Network::arrive(void* wire, std::uint64_t /*unused*/) {
+  // Take the packet BEFORE on_packet: the receiver may transmit on this
+  // wire, which can grow its ring.
+  Wire& w = *static_cast<Wire*>(wire);
+  Packet pkt = w.in_flight.pop_front();
+  Network& net = *w.net;
+  pkt.ingress_port = w.port;
+  pkt.ingress_ts = net.sim_.now();
+  ++net.delivered_;
+  net.nodes_[w.node]->on_packet(w.port, std::move(pkt));
 }
 
 void P4SwitchNode::on_packet(PortId port, Packet pkt) {

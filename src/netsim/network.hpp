@@ -5,16 +5,15 @@
 // non-zero-latency control channel.  Network provides the first three;
 // channel.hpp models the controller path.
 //
-// The per-packet path allocates nothing: the Network owns every packet on
-// the wire (a slot pool with a free list), so the arrival event it
-// schedules captures only `this` and a slot index and fits inside
-// std::function's inline buffer, and a P4SwitchNode reuses one
-// SwitchOutput for every packet it processes.
+// The per-packet path allocates nothing: each direction of a link keeps
+// the packets on its wire in a ring it reuses and schedules their arrivals
+// on a simulator lane with the allocation-free event form, and a
+// P4SwitchNode reuses one SwitchOutput for every packet it processes.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -91,31 +90,30 @@ class Network {
 
  private:
   friend class Node;
-  struct Endpoint {
+  /// One direction of a link, bound for (node, port).  Its packets leave
+  /// at now() or at busy_until, neither of which decreases, and all take
+  /// `delay`, so they arrive in send order: the wire is one simulator lane,
+  /// and its arrival events pop `in_flight` from the front.
+  struct Wire {
+    Network* net = nullptr;
     NodeId node = 0;
     PortId port = 0;
     TimeNs delay = 0;
     std::uint64_t bandwidth_bps = 0;  ///< 0 = infinite
     std::size_t queue_limit = 0;      ///< packets; 0 = unbounded
     TimeNs busy_until = 0;            ///< per-direction transmit state
-  };
-
-  /// A packet on the wire, bound for (node, port).
-  struct InFlight {
-    NodeId node = 0;
-    PortId port = 0;
-    Packet pkt;
+    Simulator::LaneId lane = 0;
+    Ring<Packet> in_flight;  ///< packets on the wire, in send order
   };
 
   void transmit(NodeId from, PortId port, Packet pkt);
-  /// The arrival event of in-flight slot `slot`.
-  void arrive(std::uint32_t slot);
+  /// The arrival event of the front packet on `wire` (a Wire*).
+  static void arrive(void* wire, std::uint64_t);
 
   Simulator& sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::map<std::pair<NodeId, PortId>, Endpoint> wires_;
-  std::vector<InFlight> in_flight_;      ///< slot pool, grows to the peak
-  std::vector<std::uint32_t> free_slots_;  ///< indices into in_flight_
+  std::deque<Wire> wires_;  ///< stable addresses: arrival events hold them
+  std::vector<std::vector<Wire*>> ports_;  ///< [node][port]; null = unwired
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_unwired_ = 0;
   std::uint64_t dropped_queue_ = 0;

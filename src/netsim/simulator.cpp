@@ -6,12 +6,29 @@
 
 namespace netsim {
 
-void Simulator::schedule_at(TimeNs t, Callback cb) {
+void Simulator::push(const Event& ev) {
+  heap_.push_back(ev);
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+void Simulator::schedule_at(TimeNs t, EventFn fn, void* ctx,
+                            std::uint64_t arg) {
   if (t < now_) {
     throw std::invalid_argument("netsim: cannot schedule in the past");
   }
-  heap_.push_back(Event{t, seq_++, std::move(cb)});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  push(Event{t, seq_++, fn, ctx, arg});
+  ++pending_;
+}
+
+void Simulator::schedule_at(TimeNs t, Callback cb) {
+  if (free_callbacks_.empty()) {
+    free_callbacks_.push_back(static_cast<std::uint32_t>(callbacks_.size()));
+    callbacks_.emplace_back();
+  }
+  // Queue first: a time in the past throws with nothing parked.
+  schedule_at(t, &run_callback, this, free_callbacks_.back());
+  callbacks_[free_callbacks_.back()] = std::move(cb);
+  free_callbacks_.pop_back();
 }
 
 void Simulator::schedule_after(TimeNs delay, Callback cb) {
@@ -21,14 +38,52 @@ void Simulator::schedule_after(TimeNs delay, Callback cb) {
   schedule_at(now_ + delay, std::move(cb));
 }
 
+void Simulator::run_callback(void* sim, std::uint64_t slot) {
+  // Move out and free the slot before running: the callback may schedule
+  // new ones, which can reallocate the pool under a reference into it.
+  auto& self = *static_cast<Simulator*>(sim);
+  const Callback cb = std::move(self.callbacks_[slot]);
+  self.free_callbacks_.push_back(static_cast<std::uint32_t>(slot));
+  cb();
+}
+
+Simulator::LaneId Simulator::add_lane() {
+  lanes_.emplace_back();
+  return static_cast<LaneId>(lanes_.size() - 1);
+}
+
+void Simulator::schedule_lane(LaneId lane, TimeNs t, EventFn fn, void* ctx,
+                              std::uint64_t arg) {
+  Ring<Event>& events = lanes_.at(lane);
+  if (t < now_ || (!events.empty() && t < events.back().time)) {
+    throw std::invalid_argument("netsim: lane event before the lane's last");
+  }
+  const Event ev{t, seq_++, fn, ctx, arg};
+  if (events.empty()) push(Event{t, ev.seq, &run_lane_head, this, lane});
+  events.push_back(ev);
+  ++pending_;
+}
+
+void Simulator::run_lane_head(void* sim, std::uint64_t lane) {
+  auto& self = *static_cast<Simulator*>(sim);
+  Ring<Event>& events = self.lanes_[lane];
+  const Event ev = events.pop_front();
+  if (!events.empty()) {
+    const Event& head = events.front();
+    self.push(Event{head.time, head.seq, &run_lane_head, sim, lane});
+  }
+  ev.fn(ev.ctx, ev.arg);
+}
+
 void Simulator::run_next() {
-  // Move out before running: the callback may schedule new events, which
-  // can reallocate the heap under a reference into it.
+  // Copy out before running: the event may schedule new ones, which can
+  // reallocate the heap under a reference into it.
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Event ev = std::move(heap_.back());
+  const Event ev = heap_.back();
   heap_.pop_back();
   now_ = ev.time;
-  ev.cb();
+  --pending_;
+  ev.fn(ev.ctx, ev.arg);
   ++processed_;
 }
 

@@ -11,6 +11,7 @@
 namespace netsim {
 
 struct FlowState {
+  PacketPump* pump = nullptr;
   TimeNs stop = 0;
   TimeNs gap = 0;
   Rng* rng = nullptr;  ///< non-null = Poisson arrivals with mean `gap`
@@ -31,12 +32,16 @@ PacketPump::PacketPump(Simulator& sim, Emit emit)
 PacketPump::~PacketPump() = default;
 
 void PacketPump::add_flow(std::unique_ptr<FlowState> flow, TimeNs at) {
+  flow->pump = this;
   flows_.push_back(std::move(flow));
   schedule_step(flows_.back().get(), at);
 }
 
 void PacketPump::schedule_step(FlowState* flow, TimeNs at) {
-  sim_->schedule_at(at, [this, flow]() { step(flow); });
+  constexpr Simulator::EventFn kStep = [](void* f, std::uint64_t) {
+    static_cast<FlowState*>(f)->pump->step(static_cast<FlowState*>(f));
+  };
+  sim_->schedule_at(at, kStep, flow, 0);
 }
 
 void PacketPump::launch(TimeNs start, TimeNs stop, TimeNs gap,

@@ -33,11 +33,10 @@ struct FlowState;
 /// Emits factory-made packets on a fixed inter-arrival grid.
 ///
 /// The pump owns its flows: each launch adds one FlowState that lives as
-/// long as the pump, and every scheduled step captures only `this` and a
-/// raw pointer to its flow (16 trivially copyable bytes, stored inline by
-/// std::function).  The pump must therefore outlive any run of the
-/// simulator that may still fire its steps, and it cannot be copied or
-/// moved.
+/// long as the pump, and every step is an allocation-free simulator event
+/// whose context is its flow (which points back at the pump).  The pump
+/// must therefore outlive any run of the simulator that may still fire its
+/// steps, and it cannot be copied or moved.
 class PacketPump {
  public:
   using Emit = std::function<void(p4sim::Packet)>;
