@@ -328,7 +328,9 @@ void BM_NetsimHopPacket(benchmark::State& state) {
   // sends a fresh UDP packet, it crosses a link to a forward-only
   // P4SwitchNode and a second link to the sink host, and sim.run() drains
   // the two arrival events.  Versus BM_SwitchForwardOnlyPacket this prices
-  // netsim's share: event queue, in-flight packet pool and node dispatch.
+  // netsim's share: event queue, per-wire packet rings and node dispatch.
+  // The queue holds one or two events here, so BM_NetsimDeepQueuePacket
+  // prices the case study's queue depth.
   stat4p4::MonitorApp app;
   app.install_forward(p4sim::ipv4(10, 0, 0, 0), 8, 1);
   app.sw().set_exec_tier(p4sim::ExecTier::kThreaded);
@@ -354,6 +356,45 @@ void BM_NetsimHopPacket(benchmark::State& state) {
   report_tier(state, app.sw());
 }
 BENCHMARK(BM_NetsimHopPacket);
+
+void BM_NetsimDeepQueuePacket(benchmark::State& state) {
+  // The case study's queue depth: two pumps with its baseline and spike
+  // gaps (40 us and 4.444 us) feed a forward-only P4SwitchNode on the
+  // threaded tier over two 50 us links, which keeps ~25 packets in flight.
+  // An iteration simulates 4 us, in which the pumps send one packet on
+  // average (1/40 + 1/4.444 per us), so the row reads ns per simulated
+  // packet: its pump step, its two link hops and the switch.
+  stat4p4::MonitorApp app;
+  app.install_forward(p4sim::ipv4(10, 0, 0, 0), 8, 1);
+  app.sw().set_exec_tier(p4sim::ExecTier::kThreaded);
+  netsim::Simulator sim;
+  netsim::Network net(sim);
+  const auto sw =
+      net.add_node(std::make_unique<netsim::P4SwitchNode>(app.sw()));
+  const auto src = net.add_node(std::make_unique<netsim::HostNode>());
+  const auto dst = net.add_node(std::make_unique<netsim::HostNode>());
+  net.link(src, 0, sw, 0, 50 * stat4::kMicrosecond);
+  net.link(sw, 1, dst, 0, 50 * stat4::kMicrosecond);
+  auto& host = net.node<netsim::HostNode>(src);
+  auto& sink = net.node<netsim::HostNode>(dst);
+  netsim::PacketPump pump(sim, [&host](p4sim::Packet pkt) {
+    host.transmit(0, std::move(pkt));
+  });
+  const std::uint32_t from = p4sim::ipv4(172, 16, 0, 1);
+  pump.launch(0, 0, 40'000,
+              netsim::fixed_udp_factory(from, p4sim::ipv4(10, 0, 1, 1)));
+  pump.launch(0, 0, 4'444,
+              netsim::fixed_udp_factory(from, p4sim::ipv4(10, 0, 2, 2)));
+  sim.run_until(200 * stat4::kMicrosecond);  // both links full
+  const std::uint64_t warm = sink.packets_received();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim.run_until(sim.now() + 4'000));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(sink.packets_received() - warm));
+  report_tier(state, app.sw());
+}
+BENCHMARK(BM_NetsimDeepQueuePacket);
 
 // ------------------------------------------------------ threaded lowering
 

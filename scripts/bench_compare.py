@@ -9,9 +9,10 @@ and exits non-zero when any benchmark regressed by more than the threshold
 (default 25%).  Benchmarks only present on one side are reported but never
 fail the comparison (new benchmarks appear, old ones retire).
 
-Multi-threaded fan-out benchmarks (ShardedEngineScaling, FleetRunnerFanOut)
-are *reported* but excluded from the pass/fail gate by default: on shared
-CI runners their timings are scheduler noise, not code.  Use
+Multi-threaded benchmarks (ShardedEngineScaling, FleetRunnerFanOut and the
+two-thread FleetHandoff) are *reported* but excluded from the pass/fail
+gate by default: on shared CI runners their timings are scheduler noise,
+not code.  Use
 --include-threaded to gate on them too (sensible on quiet dedicated
 hardware).
 
@@ -45,6 +46,7 @@ import sys
 THREADED_PATTERNS = (
     re.compile(r"^BM_ShardedEngineScaling/"),
     re.compile(r"^BM_FleetRunnerFanOut/"),
+    re.compile(r"^BM_FleetHandoff/"),
 )
 
 
