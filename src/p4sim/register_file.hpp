@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,13 @@ class RegisterFile {
   /// Raw view of array `id` for compiled execution tiers; throws
   /// std::out_of_range for an unknown array like read()/write().
   [[nodiscard]] RegisterWindow window(RegisterId id);
+
+  /// Read-only view of array `id`'s cells, for a controller that copies a
+  /// whole array with one bounds check; throws std::out_of_range for an
+  /// unknown array like read().
+  [[nodiscard]] std::span<const Word> cells(RegisterId id) const {
+    return arrays_.at(id).cells;
+  }
 
   [[nodiscard]] std::size_t array_count() const noexcept {
     return arrays_.size();
