@@ -62,31 +62,37 @@ TEST(SpscRing, FifoOrderAcrossThreads) {
   constexpr std::uint64_t kCount = 100000;
   std::thread consumer([&] {
     std::uint64_t expected = 0;
-    std::uint64_t item = 0;
+    const auto check = [&expected](std::uint64_t& item) {
+      ASSERT_EQ(item, expected) << "ring must preserve FIFO order";
+      ++expected;
+    };
     runtime::Backoff backoff;
     while (expected < kCount) {
-      if (ring.try_pop(item)) {
-        ASSERT_EQ(item, expected) << "ring must preserve FIFO order";
-        ++expected;
+      if (ring.consume_burst(1, check) != 0) {
         backoff.reset();
       } else {
         backoff.pause();
       }
     }
   });
-  for (std::uint64_t i = 0; i < kCount; ++i) ring.push_blocking(i);
+  for (std::uint64_t i = 0; i < kCount; ++i) {
+    ring.stage_blocking(std::uint64_t{i}, [] {});
+    ring.publish();
+  }
   consumer.join();
 }
 
 TEST(SpscRing, TryPushFailsWhenFullAndCapacityHolds) {
   SpscRing<int> ring(4);
   std::size_t pushed = 0;
-  while (ring.try_push(1)) ++pushed;
+  while (ring.stage(1)) {
+    ring.publish();
+    ++pushed;
+  }
   EXPECT_GE(pushed, 4u);
   EXPECT_EQ(pushed, ring.capacity());
-  int out = 0;
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_TRUE(ring.try_push(2)) << "pop must free a slot";
+  ASSERT_EQ(ring.consume_burst(1, [](int&) {}), 1u);
+  EXPECT_TRUE(ring.stage(2)) << "a drained slot must take a new item";
 }
 
 TEST(MpscChannel, AllProducersDrainOnce) {

@@ -1,14 +1,16 @@
 // SpscRing burst I/O: wraparound correctness and the park/wake protocol.
 //
-// The single-threaded tests nail down the burst semantics (partial
-// acceptance when full, FIFO order across the wrap seam, interop with the
-// per-item push/pop) and the staging primitives every push is built on
-// (stage() is invisible until publish(), refuses exactly at capacity, and
-// wraps); the threaded tests are the TSan targets: a tiny ring hammered
-// with randomly sized bursts from both sides forces constant wraparound
-// and both park paths (producer parks on full, consumer parks on empty),
-// so the acquire/release pairing and the Dekker-style park/notify fences
-// are exercised under the race detector.  Two more threaded tests pin the
+// Every test drives the ring through the calls its runtime uses: stage()
+// and stage_blocking() on the producer side, publish() to make a run
+// visible, consume_burst() on the consumer side.  The single-threaded
+// tests nail down the burst semantics (refusal when full, FIFO order
+// across the wrap seam, single-item publishes and drains mixed with
+// bursts) and the staging rules (stage() is invisible until publish(),
+// refuses exactly at capacity, and wraps); the threaded tests are the TSan
+// targets: a tiny ring hammered with randomly sized bursts from both sides
+// forces constant wraparound and both park paths (producer parks on full,
+// consumer parks on empty), so the acquire/release pairing and the
+// Dekker-style park/notify fences are exercised under the race detector.  Two more threaded tests pin the
 // consumer-wait helper's idle flag and the buffer-locality contract: what
 // a consumer leaves in its slots dies on the producer's thread.
 #include <gtest/gtest.h>
@@ -29,73 +31,72 @@ namespace {
 using runtime::IdleStats;
 using runtime::SpscRing;
 
+/// Moves up to `max` published items out of the ring, oldest first.
+template <typename T>
+std::vector<T> take(SpscRing<T>& ring, std::size_t max) {
+  std::vector<T> out;
+  ring.consume_burst(max, [&out](T& v) { out.push_back(std::move(v)); });
+  return out;
+}
+
 TEST(SpscBurst, PushBurstRespectsCapacity) {
   SpscRing<int> ring(8);  // rounds to 16 slots, 15 usable
-  std::vector<int> items(100);
-  for (int i = 0; i < 100; ++i) items[static_cast<std::size_t>(i)] = i;
-
-  const std::size_t pushed = ring.try_push_burst(items.data(), items.size());
-  EXPECT_EQ(pushed, ring.capacity());
+  int staged = 0;
+  while (staged < 100 && ring.stage(int{staged})) ++staged;
+  EXPECT_EQ(static_cast<std::size_t>(staged), ring.capacity());
+  ring.publish();
   EXPECT_EQ(ring.size(), ring.capacity());
-  EXPECT_EQ(ring.try_push_burst(items.data(), 1), 0u) << "ring is full";
+  EXPECT_FALSE(ring.stage(100)) << "ring is full";
 
-  std::vector<int> out;
-  EXPECT_EQ(ring.pop_burst(out, 1000), pushed);
-  ASSERT_EQ(out.size(), pushed);
-  for (std::size_t i = 0; i < pushed; ++i) {
+  const std::vector<int> out = take(ring, 1000);
+  ASSERT_EQ(out.size(), ring.capacity());
+  for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i], static_cast<int>(i));
   }
   EXPECT_TRUE(ring.empty());
 }
 
 TEST(SpscBurst, FifoAcrossWrapSeam) {
-  // Push 5 / pop 3 against a 15-slot ring walks the cursors through every
-  // wrap alignment; the popped stream must stay 0,1,2,...
+  // Publish 5 / drain 3 against a 15-slot ring walks the cursors through
+  // every wrap alignment; the drained stream must stay 0,1,2,...
   SpscRing<std::uint64_t> ring(8);
   std::uint64_t next_in = 0;
   std::uint64_t next_out = 0;
-  std::vector<std::uint64_t> burst(5);
-  std::vector<std::uint64_t> out;
+  const auto check = [&next_out](std::uint64_t& v) {
+    ASSERT_EQ(v, next_out);
+    ++next_out;
+  };
   for (int round = 0; round < 1000; ++round) {
-    for (auto& v : burst) v = next_in++;
-    std::size_t pushed = 0;
-    while (pushed < burst.size()) {
-      pushed += ring.try_push_burst(burst.data() + pushed,
-                                    burst.size() - pushed);
-      if (pushed < burst.size()) {
-        out.clear();
-        ASSERT_GT(ring.pop_burst(out, 3), 0u);
-        for (const auto v : out) ASSERT_EQ(v, next_out++);
+    const std::uint64_t burst_end = next_in + 5;
+    while (next_in < burst_end) {
+      while (next_in < burst_end && ring.stage(std::uint64_t{next_in})) {
+        ++next_in;
+      }
+      ring.publish();
+      if (next_in < burst_end) {
+        ASSERT_GT(ring.consume_burst(3, check), 0u);
       }
     }
-    out.clear();
-    ring.pop_burst(out, 3);
-    for (const auto v : out) ASSERT_EQ(v, next_out++);
+    ring.consume_burst(3, check);
   }
-  out.clear();
-  while (ring.pop_burst(out, 4) != 0) {
+  while (ring.consume_burst(4, check) != 0) {
   }
-  for (const auto v : out) ASSERT_EQ(v, next_out++);
   EXPECT_EQ(next_out, next_in);
 }
 
 TEST(SpscBurst, BurstInteroperatesWithSingleItemOps) {
   SpscRing<int> ring(16);
-  const int items[3] = {1, 2, 3};
-  ASSERT_TRUE(ring.try_push(0));
-  ASSERT_EQ(ring.try_push_burst(items, 3), 3u);
-  ASSERT_TRUE(ring.try_push(4));
+  ASSERT_TRUE(ring.stage(0));
+  ring.publish();
+  for (int i = 1; i <= 3; ++i) ASSERT_TRUE(ring.stage(int{i}));
+  ring.publish();
+  ASSERT_TRUE(ring.stage(4));
+  ring.publish();
 
-  int v = -1;
-  ASSERT_TRUE(ring.try_pop(v));
-  EXPECT_EQ(v, 0);
-  std::vector<int> out;
-  ASSERT_EQ(ring.pop_burst(out, 2), 2u);
-  EXPECT_EQ(out, (std::vector<int>{1, 2}));
-  ASSERT_TRUE(ring.try_pop(v));
-  EXPECT_EQ(v, 3);
-  ASSERT_TRUE(ring.try_pop(v));
-  EXPECT_EQ(v, 4);
+  EXPECT_EQ(take(ring, 1), std::vector<int>{0});
+  EXPECT_EQ(take(ring, 2), (std::vector<int>{1, 2}));
+  EXPECT_EQ(take(ring, 1), std::vector<int>{3});
+  EXPECT_EQ(take(ring, 1), std::vector<int>{4});
   EXPECT_TRUE(ring.empty());
 }
 
@@ -121,77 +122,65 @@ struct CopyCounted {
 TEST(SpscBurst, SingleItemPushOfRvaluesNeverCopies) {
   CopyCounted::copies = 0;
   SpscRing<CopyCounted> ring(4);  // rounds to 8 slots, 7 usable
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(ring.try_push(CopyCounted(i)));
-  for (int i = 3; i < 7; ++i) ring.push_blocking(CopyCounted(i));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(ring.stage(CopyCounted(i)));
+  for (int i = 3; i < 7; ++i) ring.stage_blocking(CopyCounted(i), [] {});
+  ring.publish();
   EXPECT_EQ(ring.size(), ring.capacity());
 
-  // A refused push leaves its argument intact, so the caller can retry.
+  // A refused stage leaves its argument intact, so the caller can retry.
   CopyCounted kept(99);
-  EXPECT_FALSE(ring.try_push(std::move(kept)));
+  EXPECT_FALSE(ring.stage(std::move(kept)));
   EXPECT_EQ(kept.payload, std::vector<int>{99});
 
-  CopyCounted out;
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out.payload, std::vector<int>{0});
-  ring.push_blocking(std::move(kept));  // lands in the freed slot
+  std::vector<CopyCounted> out = take(ring, 1);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].payload, std::vector<int>{0});
+  ring.stage_blocking(std::move(kept), [] {});  // lands in the freed slot
+  ring.publish();
+  out = take(ring, 8);
+  ASSERT_EQ(out.size(), 7u);
   for (int i = 1; i < 7; ++i) {
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out.payload, std::vector<int>{i});
+    EXPECT_EQ(out[static_cast<std::size_t>(i - 1)].payload,
+              std::vector<int>{i});
   }
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out.payload, std::vector<int>{99});
+  EXPECT_EQ(out.back().payload, std::vector<int>{99});
   EXPECT_EQ(CopyCounted::copies, 0);
-
-  // An lvalue push copies exactly once, and only when it lands.
-  const CopyCounted original(5);
-  ASSERT_TRUE(ring.try_push(original));
-  EXPECT_EQ(CopyCounted::copies, 1);
 }
 
 TEST(SpscBurst, PushBlockingCallsOnFullOnlyWhenItMustWait) {
   SpscRing<int> ring(3);  // rounds to 4 slots, 3 usable
   int full_calls = 0;
   const auto on_full = [&full_calls] { ++full_calls; };
-  for (int i = 0; i < 3; ++i) ring.push_blocking(i, on_full);
+  for (int i = 0; i < 3; ++i) ring.stage_blocking(int{i}, on_full);
   EXPECT_EQ(full_calls, 0) << "the uncontended path must not report a stall";
 
   // The consumer frees a slot only after the producer reported the stall,
-  // so the first attempt is guaranteed to find the ring full.
+  // so the first attempt is guaranteed to find the ring full.  The stall
+  // publishes the staged items: the consumer can only free what it sees.
   std::atomic<bool> stalled{false};
   std::thread consumer([&] {
     while (!stalled.load(std::memory_order_acquire)) {
       std::this_thread::yield();
     }
-    int v = -1;
-    while (!ring.try_pop(v)) std::this_thread::yield();
+    while (ring.consume_burst(1, [](int&) {}) == 0) std::this_thread::yield();
   });
-  ring.push_blocking(3, [&] {
+  ring.stage_blocking(3, [&] {
     ++full_calls;
     stalled.store(true, std::memory_order_release);
   });
   consumer.join();
   EXPECT_EQ(full_calls, 1);
+  EXPECT_EQ(ring.staged(), 1u) << "the waiting item stays staged";
 
-  std::vector<int> out;
-  ring.pop_burst(out, 8);
-  EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(SpscBurst, PopBurstAppendsToNonEmptyVector) {
-  SpscRing<int> ring(8);
-  const int items[4] = {10, 11, 12, 13};
-  ASSERT_EQ(ring.try_push_burst(items, 4), 4u);
-  std::vector<int> out{99};
-  EXPECT_EQ(ring.pop_burst(out, 2), 2u);
-  EXPECT_EQ(out, (std::vector<int>{99, 10, 11}));
+  ring.publish();
+  EXPECT_EQ(take(ring, 8), (std::vector<int>{1, 2, 3}));
 }
 
 TEST(SpscBurst, CloseWakesParkedConsumer) {
   SpscRing<int> ring(8);
   std::thread consumer([&] {
-    std::vector<int> out;
     while (!(ring.closed() && ring.empty())) {
-      if (ring.pop_burst(out, 8) == 0) ring.consumer_park();
+      if (ring.consume_burst(8, [](int&) {}) == 0) ring.consumer_park();
     }
   });
   // Give the consumer a chance to actually park, then close: the notify in
@@ -210,30 +199,27 @@ TEST(SpscBurstStress, RandomBurstsThreaded) {
 
   std::thread producer([&] {
     std::mt19937_64 rng(1);
-    std::vector<std::uint64_t> burst;
     std::uint64_t next = 0;
     while (next < kTotal) {
-      const std::size_t n =
-          std::min<std::uint64_t>(1 + rng() % 24, kTotal - next);
-      burst.clear();
-      for (std::size_t i = 0; i < n; ++i) burst.push_back(next++);
-      ring.push_burst_blocking(burst.data(), burst.size());
+      const std::uint64_t end =
+          std::min<std::uint64_t>(next + 1 + rng() % 24, kTotal);
+      while (next < end) ring.stage_blocking(std::uint64_t{next++}, [] {});
+      ring.publish();
     }
     ring.close();
   });
 
   std::mt19937_64 rng(2);
-  std::vector<std::uint64_t> out;
   std::uint64_t expected = 0;
+  const auto check = [&expected](std::uint64_t& v) {
+    ASSERT_EQ(v, expected);
+    ++expected;
+  };
   while (true) {
-    out.clear();
-    const std::size_t n = ring.pop_burst(out, 1 + rng() % 24);
-    if (n == 0) {
+    if (ring.consume_burst(1 + rng() % 24, check) == 0) {
       if (ring.closed() && ring.empty()) break;
       ring.consumer_park();
-      continue;
     }
-    for (const auto v : out) ASSERT_EQ(v, expected++);
   }
   producer.join();
   EXPECT_EQ(expected, kTotal);
@@ -243,48 +229,33 @@ TEST(SpscBurstStress, RandomBurstsThreaded) {
   EXPECT_GE(ring.consumer_parks(), 0u);
 }
 
-// Same stress with mixed burst/single-item ops on both sides.
+// Same stress with bursts and single-item publishes and drains mixed on
+// both sides.
 TEST(SpscBurstStress, MixedOpsThreaded) {
   constexpr std::uint64_t kTotal = 100000;
   SpscRing<std::uint64_t> ring(4);
 
   std::thread producer([&] {
     std::mt19937_64 rng(3);
-    std::vector<std::uint64_t> burst;
     std::uint64_t next = 0;
     while (next < kTotal) {
-      if (rng() % 2 == 0) {
-        ring.push_blocking(next++);
-      } else {
-        const std::size_t n =
-            std::min<std::uint64_t>(1 + rng() % 6, kTotal - next);
-        burst.clear();
-        for (std::size_t i = 0; i < n; ++i) burst.push_back(next++);
-        ring.push_burst_blocking(burst.data(), burst.size());
-      }
+      const std::uint64_t run = rng() % 2 == 0 ? 1 : 1 + rng() % 6;
+      const std::uint64_t end = std::min<std::uint64_t>(next + run, kTotal);
+      while (next < end) ring.stage_blocking(std::uint64_t{next++}, [] {});
+      ring.publish();
     }
     ring.close();
   });
 
   std::mt19937_64 rng(4);
-  std::vector<std::uint64_t> out;
   std::uint64_t expected = 0;
-  std::uint64_t item = 0;
+  const auto check = [&expected](std::uint64_t& v) {
+    ASSERT_EQ(v, expected);
+    ++expected;
+  };
   while (true) {
-    bool got = false;
-    if (rng() % 2 == 0) {
-      if (ring.try_pop(item)) {
-        ASSERT_EQ(item, expected++);
-        got = true;
-      }
-    } else {
-      out.clear();
-      if (ring.pop_burst(out, 1 + rng() % 6) != 0) {
-        for (const auto v : out) ASSERT_EQ(v, expected++);
-        got = true;
-      }
-    }
-    if (!got) {
+    const std::size_t max = rng() % 2 == 0 ? 1 : 1 + rng() % 6;
+    if (ring.consume_burst(max, check) == 0) {
       if (ring.closed() && ring.empty()) break;
       ring.consumer_park();
     }
@@ -297,7 +268,7 @@ TEST(SpscBurstStress, MixedOpsThreaded) {
 
 TEST(SpscStage, StagedItemsAreInvisibleUntilPublish) {
   SpscRing<int> ring(8);
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(ring.stage(i));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(ring.stage(int{i}));
   EXPECT_EQ(ring.staged(), 3u);
   EXPECT_TRUE(ring.empty()) << "staged items are not published";
   EXPECT_EQ(ring.size(), 0u);
@@ -319,7 +290,7 @@ TEST(SpscStage, StagedItemsAreInvisibleUntilPublish) {
 
 TEST(SpscStage, StageRefusesExactlyWhenPublishedPlusStagedFillTheRing) {
   SpscRing<int> ring(8);  // 15 usable
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(ring.stage(i));
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(ring.stage(int{i}));
   ring.publish();
   std::size_t staged = 0;
   while (ring.stage(static_cast<int>(5 + staged))) ++staged;
@@ -328,15 +299,13 @@ TEST(SpscStage, StageRefusesExactlyWhenPublishedPlusStagedFillTheRing) {
   EXPECT_EQ(ring.size(), 5u) << "only the published five are visible";
 
   // Freeing one published slot admits exactly one more stage.
-  int v = -1;
-  ASSERT_TRUE(ring.try_pop(v));
-  EXPECT_EQ(v, 0);
+  EXPECT_EQ(take(ring, 1), std::vector<int>{0});
   EXPECT_TRUE(ring.stage(99));
   EXPECT_FALSE(ring.stage(100));
   ring.publish();
   EXPECT_EQ(ring.size(), ring.capacity());
-  std::vector<int> out;
-  EXPECT_EQ(ring.pop_burst(out, 100), ring.capacity());
+  const std::vector<int> out = take(ring, 100);
+  ASSERT_EQ(out.size(), ring.capacity());
   for (std::size_t i = 0; i + 1 < out.size(); ++i) {
     EXPECT_EQ(out[i], static_cast<int>(i + 1));
   }
@@ -358,7 +327,7 @@ TEST(SpscStage, StagingCrossesTheWrapSeam) {
   for (int round = 0; round < 2000; ++round) {
     const std::size_t run = 1 + rng() % ring.capacity();
     std::size_t staged = 0;
-    while (staged < run && ring.stage(next_in)) {
+    while (staged < run && ring.stage(std::uint64_t{next_in})) {
       ++next_in;
       ++staged;
     }
@@ -378,7 +347,8 @@ TEST(SpscStage, IdleFlagTracksTheConsumer) {
   SpscRing<int> ring(8);
   IdleStats stats;
   EXPECT_TRUE(ring.consumer_idle()) << "a fresh ring's consumer is idle";
-  ring.push_blocking(5);
+  ASSERT_TRUE(ring.stage(5));
+  ring.publish();
   ASSERT_TRUE(ring.wait_readable(stats));
   EXPECT_FALSE(ring.consumer_idle()) << "published items lower the flag";
   EXPECT_EQ(stats.polls, 0u) << "no wait when items are already there";
