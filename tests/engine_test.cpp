@@ -101,6 +101,12 @@ TEST(Stat4Engine, RemoveAndModifyBinding) {
   EXPECT_EQ(e.freq(id).total(), 2u) << "removed binding must not fire";
   EXPECT_THROW(e.remove_binding(bid), UsageError);
   EXPECT_THROW(e.modify_binding(bid, b), UsageError);
+
+  // Add after traffic has flowed: the very next packet feeds it.
+  e.add_binding(b);
+  e.process(pkt_to(ip(10, 0, 7, 1), 3));
+  EXPECT_EQ(e.freq(id).total(), 3u) << "added binding must fire";
+  EXPECT_EQ(e.freq(id).frequency(7), 1u);
 }
 
 TEST(Stat4Engine, IntervalCountBinding) {
