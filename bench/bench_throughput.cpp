@@ -14,13 +14,10 @@
 //                  written, so a run never overwrites the baseline
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <array>
 #include <bitset>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -452,14 +449,12 @@ void BM_AnomalyScorePacket(benchmark::State& state) {
 }
 BENCHMARK(BM_AnomalyScorePacket);
 
-// ------------------------------------------------- batched engine ingest
+// --------------------------------------------------------- engine ingest
 
-// Scalar-vs-batched ingestion on ONE engine: the same 8-distribution
-// workload as the scaling benchmark, fed per packet vs in 256-packet
-// batches through process_batch() (resolved-binding cache + amortized
-// bookkeeping).  The gap between these two is the per-packet overhead the
-// batch path removes.
-void engine_bench_setup(stat4::Stat4Engine& engine) {
+// One Stat4Engine fed per packet: 8 frequency distributions behind a /8
+// match, every packet updating all 8 through the resolved-binding cache.
+void BM_EngineProcessScalar(benchmark::State& state) {
+  stat4::Stat4Engine engine(stat4::OverflowPolicy::kSaturate);
   constexpr std::size_t kDists = 8;
   for (std::size_t i = 0; i < kDists; ++i) {
     const auto id = engine.add_freq_dist(1024);
@@ -472,23 +467,13 @@ void engine_bench_setup(stat4::Stat4Engine& engine) {
     entry.kind = stat4::UpdateKind::kFrequencyObserve;
     engine.add_binding(entry);
   }
-}
-
-std::vector<stat4::PacketFields> engine_bench_trace(std::size_t n) {
-  std::vector<stat4::PacketFields> trace(n);
+  std::vector<stat4::PacketFields> trace(256);
   std::uint64_t x = 1;
   for (auto& pkt : trace) {
     pkt.dst_ip = p4sim::ipv4(10, 0, 1, 1);
     pkt.src_port = static_cast<std::uint16_t>(x);
     x = x * 2862933555777941757ull + 3037000493ull;
   }
-  return trace;
-}
-
-void BM_EngineProcessScalar(benchmark::State& state) {
-  stat4::Stat4Engine engine(stat4::OverflowPolicy::kSaturate);
-  engine_bench_setup(engine);
-  const auto trace = engine_bench_trace(256);
   std::size_t i = 0;
   for (auto _ : state) {
     engine.process(trace[i]);
@@ -498,73 +483,9 @@ void BM_EngineProcessScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineProcessScalar);
 
-void BM_EngineProcessBatch(benchmark::State& state) {
-  stat4::Stat4Engine engine(stat4::OverflowPolicy::kSaturate);
-  engine_bench_setup(engine);
-  const auto trace = engine_bench_trace(256);
-  // Manual timing divides each 256-packet batch down to per-packet ns, so
-  // this reports in the same unit as BM_EngineProcessScalar and the
-  // per-packet switch benchmarks instead of per-batch time.
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    engine.process_batch(trace.data(), trace.size());
-    const auto t1 = std::chrono::steady_clock::now();
-    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count() /
-                           static_cast<double>(trace.size()));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(trace.size()));
-}
-BENCHMARK(BM_EngineProcessBatch)->UseManualTime();
-
-// ------------------------------------------------ multi-threaded scaling
-
-// ShardedEngine throughput as the shard count grows, 1..8 worker threads,
-// through the batched ingestion path (producer-side staging + burst ring
-// I/O + process_batch drains).  The workload — 8 frequency distributions,
-// every packet updating all 8 — splits evenly across shards, so on
-// multi-core hardware throughput should scale with the shard count until
-// broadcast overhead dominates.  The JSON report derives per-shard scaling
-// efficiency throughput_N / (N * throughput_1) from these runs — see
-// results_json().  On a single core the numbers only show the fan-out
-// overhead (efficiency ~1/N is the physical ceiling there); run on real
-// hardware for scaling claims.
-void BM_ShardedEngineScaling(benchmark::State& state) {
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  runtime::ShardedEngine engine(shards, stat4::OverflowPolicy::kSaturate,
-                                4096);
-  constexpr std::size_t kDists = 8;
-  for (std::size_t i = 0; i < kDists; ++i) {
-    const auto id = engine.add_freq_dist(1024);
-    stat4::BindingEntry entry;
-    entry.dist = id;
-    entry.match.dst_prefix = stat4::Prefix{p4sim::ipv4(10, 0, 0, 0), 8};
-    entry.extractor.field = stat4::Field::kSrcPort;
-    entry.extractor.shift = static_cast<std::uint8_t>(i % 4);
-    entry.extractor.mask = 1023;
-    entry.kind = stat4::UpdateKind::kFrequencyObserve;
-    engine.add_binding(entry);
-  }
-  engine.start();
-  std::uint64_t x = 1;
-  for (auto _ : state) {
-    stat4::PacketFields pkt;
-    pkt.dst_ip = p4sim::ipv4(10, 0, 1, 1);
-    pkt.src_port = static_cast<std::uint16_t>(x);
-    engine.submit(pkt);
-    x = x * 2862933555777941757ull + 3037000493ull;
-  }
-  engine.stop();
-  state.SetItemsProcessed(state.iterations());
-  state.counters["backpressure_waits"] =
-      static_cast<double>(engine.backpressure_waits());
-}
-BENCHMARK(BM_ShardedEngineScaling)->DenseRange(1, 8)->UseRealTime();
-
 // FleetRunner fan-out: one full MonitorApp switch per worker thread, packets
-// round-robined across the fleet.  Unlike sharding (which splits one
-// switch's work), this scales the number of independent switches — the
-// Figure 1c deployment shape.
+// round-robined across the fleet.  This scales the number of independent
+// switches — the Figure 1c deployment shape.
 void BM_FleetRunnerFanOut(benchmark::State& state) {
   const auto switches = static_cast<std::size_t>(state.range(0));
   runtime::FleetRunner::Config cfg;
@@ -639,12 +560,9 @@ void run_handoff(benchmark::State& state, Make make) {
   });
   std::uint64_t x = 1;
   for (auto _ : state) {
-    T item = make(x++);
-    if (staged) {
-      ring.stage_blocking(std::move(item), [] {});
-      if (ring.staged() >= kBurst || ring.consumer_idle()) ring.publish();
-    } else {
-      ring.push_blocking(std::move(item));
+    ring.stage_blocking(make(x++), [] {});
+    if (!staged || ring.staged() >= kBurst || ring.consumer_idle()) {
+      ring.publish();
     }
   }
   ring.publish();
@@ -706,54 +624,6 @@ void append_double(std::string& out, double v) {
   out += buf;
 }
 
-/// Derives per-shard scaling efficiency from the BM_ShardedEngineScaling
-/// runs:  efficiency_N = throughput_N / (N * throughput_1)  — 1.0 is
-/// perfect linear scaling, 1/N is "no parallel speedup at all" (the
-/// single-core ceiling).  Emitted as its own JSON object so
-/// scripts/bench_compare.py and humans can read the scaling shape without
-/// re-deriving it from raw timings.
-std::string scaling_json(
-    const std::vector<benchmark::BenchmarkReporter::Run>& runs) {
-  struct Point {
-    int shards;
-    double ns_per_iter;
-  };
-  std::vector<Point> points;
-  for (const auto& run : runs) {
-    if (run.error_occurred) continue;
-    const std::string name = run.benchmark_name();
-    const std::string prefix = "BM_ShardedEngineScaling/";
-    if (name.rfind(prefix, 0) != 0) continue;
-    const int shards = std::atoi(name.c_str() + prefix.size());
-    if (shards <= 0 || run.iterations <= 0) continue;
-    points.push_back({shards, run.real_accumulated_time /
-                                  static_cast<double>(run.iterations) * 1e9});
-  }
-  std::sort(points.begin(), points.end(),
-            [](const Point& a, const Point& b) { return a.shards < b.shards; });
-  double t1 = 0;
-  for (const auto& p : points) {
-    if (p.shards == 1) t1 = p.ns_per_iter;
-  }
-  std::string out = "{\"benchmark\":\"BM_ShardedEngineScaling\",\"shards\":[";
-  bool first = true;
-  for (const auto& p : points) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"n\":" + std::to_string(p.shards) + ",\"ns_per_iter\":";
-    append_double(out, p.ns_per_iter);
-    out += ",\"speedup_vs_1\":";
-    append_double(out, p.ns_per_iter > 0 && t1 > 0 ? t1 / p.ns_per_iter : 0);
-    out += ",\"efficiency\":";
-    append_double(out, p.ns_per_iter > 0 && t1 > 0
-                           ? t1 / (p.shards * p.ns_per_iter)
-                           : 0);
-    out += '}';
-  }
-  out += "]}";
-  return out;
-}
-
 std::string results_json(const std::vector<benchmark::BenchmarkReporter::Run>&
                              runs,
                          bool quick) {
@@ -780,9 +650,7 @@ std::string results_json(const std::vector<benchmark::BenchmarkReporter::Run>&
     }
     out += '}';
   }
-  out += "],\"scaling\":";
-  out += scaling_json(runs);
-  out += ",\"telemetry\":";
+  out += "],\"telemetry\":";
   out += telemetry::MetricsRegistry::global().snapshot().to_json();
   out += '}';
   return out;

@@ -9,11 +9,10 @@ and exits non-zero when any benchmark regressed by more than the threshold
 (default 25%).  Benchmarks only present on one side are reported but never
 fail the comparison (new benchmarks appear, old ones retire).
 
-Multi-threaded benchmarks (ShardedEngineScaling, FleetRunnerFanOut and the
-two-thread FleetHandoff) are *reported* but excluded from the pass/fail
-gate by default: on shared CI runners their timings are scheduler noise,
-not code.  Use
---include-threaded to gate on them too (sensible on quiet dedicated
+Multi-threaded benchmarks (FleetRunnerFanOut and the two-thread
+FleetHandoff) are *reported* but excluded from the pass/fail gate by
+default: on shared CI runners their timings are scheduler noise, not code.
+Use --include-threaded to gate on them too (sensible on quiet dedicated
 hardware).
 
 With --static the inputs are `stat4_opt --json` reports instead: for every
@@ -44,7 +43,6 @@ import re
 import sys
 
 THREADED_PATTERNS = (
-    re.compile(r"^BM_ShardedEngineScaling/"),
     re.compile(r"^BM_FleetRunnerFanOut/"),
     re.compile(r"^BM_FleetHandoff/"),
 )
@@ -82,49 +80,6 @@ def load_benchmarks(path, allow_missing=False):
 
 def is_threaded(name):
     return any(p.match(name) for p in THREADED_PATTERNS)
-
-
-def report_scaling(path):
-    """Surfaces the candidate's BM_ShardedEngineScaling shape.
-
-    The per-shard timings are excluded from the regression gate (scheduler
-    noise on shared runners), which used to mean a degenerating scaling
-    curve passed in silence.  This prints the candidate's `scaling` block
-    and explicitly labels shards past 2 whose parallel efficiency is below
-    1.0 as KNOWN-DEGRADED — visible in every CI log, still non-gating.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError):
-        return  # bare google-benchmark JSON without our wrapper: nothing to do
-    if not isinstance(doc, dict):
-        return
-    scaling = doc.get("scaling")
-    shards = scaling.get("shards") if isinstance(scaling, dict) else None
-    if not shards:
-        return
-    print("\nsharded-engine scaling (informational, never gated):")
-    print(f"  {'shards':>6}  {'ns/iter':>10}  {'efficiency':>10}  status")
-    degraded = 0
-    for row in shards:
-        n = row.get("n")
-        eff = row.get("efficiency")
-        ns = row.get("ns_per_iter")
-        if not isinstance(n, int) or not isinstance(eff, (int, float)):
-            continue
-        if n > 2 and eff < 1.0:
-            status = "known-degraded"
-            degraded += 1
-        else:
-            status = "ok"
-        print(f"  {n:>6}  {ns:>10.1f}  {eff:>10.3f}  {status}")
-    if degraded:
-        print(
-            f"  {degraded} shard count(s) past 2 run below linear "
-            "efficiency — broadcast-write contention in ShardedEngine "
-            "(see ROADMAP); tracked, not a gate failure."
-        )
 
 
 STATIC_AXES = ("instructions", "stages", "temps", "registers", "state_bytes")
@@ -402,8 +357,6 @@ def main(argv=None):
         cs = f"{c:12.1f}" if c is not None else " " * 12
         rs = f"{ratio:7.3f}" if ratio is not None else " " * 7
         print(f"{name:<{width}}  {bs}  {cs}  {rs}  {status}")
-
-    report_scaling(args.candidate)
 
     if failures:
         print(

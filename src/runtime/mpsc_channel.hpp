@@ -1,13 +1,13 @@
-// Multi-producer / single-consumer channel for alerts and digests.
+// Multi-producer / single-consumer channel for switch digests.
 //
-// The control-plane side of the runtime: every shard (or switch worker)
-// pushes its alerts here, and one consumer — the controller thread — drains
-// them into the FleetCorrelator or a user sink.  Unlike the packet path,
-// this channel may take a lock: anomaly digests are rare by design (the
-// whole point of in-switch detection is that the switch only talks to the
-// controller when something is wrong), so a mutex-protected queue is both
-// simple and contention-free in practice, and it keeps the channel safe for
-// any number of producers.
+// The control-plane side of the runtime: every switch worker pushes its
+// digests here, and one consumer — the controller thread — drains them into
+// the FleetCorrelator or a user sink.  Unlike the packet path, this channel
+// may take a lock: anomaly digests are rare by design (the whole point of
+// in-switch detection is that the switch only talks to the controller when
+// something is wrong), so a mutex-protected queue is both simple and
+// contention-free in practice, and it keeps the channel safe for any number
+// of producers.
 #pragma once
 
 #include <condition_variable>
@@ -42,13 +42,8 @@ class MpscChannel {
     return grabbed.size();
   }
 
-  [[nodiscard]] bool empty() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.empty();
-  }
-
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<T> items_;
 };

@@ -1,29 +1,29 @@
 // Bounded single-producer / single-consumer ring buffer with staged,
 // burst-published I/O.
 //
-// The packet channel between a traffic source and a shard (or emulated
-// switch) worker thread.  The discipline mirrors a switch ingress queue:
-// exactly one producer (the wire) and one consumer (the pipeline), a fixed
-// capacity, and a hot path that never takes a lock — head and tail are
-// single-writer atomics with acquire/release pairing, so pushes and pops
-// are wait-free.  When the queue is full the *caller* decides between
-// dropping (drop-with-counter, like a switch under load; see FleetRunner)
-// and backpressure (wait until space; see ShardedEngine, which must stay
-// lossless to remain bit-identical to the single-threaded engine).
+// The packet channel between a traffic source and a FleetRunner lane (one
+// emulated switch's worker thread).  The discipline mirrors a switch
+// ingress queue: exactly one producer (the wire) and one consumer (the
+// pipeline), a fixed capacity, and a hot path that never takes a lock —
+// head and tail are single-writer atomics with acquire/release pairing, so
+// stages and drains are wait-free.  When the queue is full the *caller*
+// decides between dropping (stage() refuses and the caller counts the
+// drop, like a switch under load) and backpressure (stage_blocking() waits
+// for room, for lossless replay); FleetRunner's Policy picks one.
 //
-// Every transfer is built on three primitives, so the ring has one publish
-// path and one release path (the control-variable batching of
-// MCRingBuffer, Lee et al., IPDPS 2010):
-//   * stage(item) writes an item into its slot but leaves it invisible;
+// Every transfer is built on three calls, so the ring has one publish path
+// and one release path (the control-variable batching of MCRingBuffer,
+// Lee et al., IPDPS 2010):
+//   * stage(item) moves an item into its slot but leaves it invisible
+//     (stage_blocking() first waits for a free slot);
 //   * publish() makes everything staged visible with ONE seq_cst head store
 //     and one wake check;
 //   * consume_burst(max, fn) runs `fn` on up to `max` published items IN
 //     THEIR SLOTS, then frees the slots with ONE tail store and one wake
 //     check.
-// try_push / push_blocking / try_push_burst / push_burst_blocking and
-// try_pop / pop_burst are thin compositions of these.  Batching the cursor
-// stores amortizes both the atomic handshake and the cache-line ping-pong
-// between the head and tail lines across the burst.
+// A single-item push is one stage() and one publish().  Batching the
+// cursor stores amortizes both the atomic handshake and the cache-line
+// ping-pong between the head and tail lines across the burst.
 //
 // Buffer locality: whatever `fn` leaves in a slot stays there until the
 // producer's next stage() into that slot assigns over it — so an item that
@@ -64,7 +64,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -129,14 +128,12 @@ class SpscRing {
 
   // ------------------------------------------------------------- producer
 
-  /// Writes `item` into the next free slot WITHOUT publishing it: neither
+  /// Moves `item` into the next free slot WITHOUT publishing it: neither
   /// the consumer nor empty()/size() can see it until publish().  Returns
   /// false, leaving `item` untouched, when published plus staged items fill
-  /// the ring.  Moves from an rvalue (copies an lvalue) only on success; the
-  /// assignment destroys whatever the consumer left in the slot, here on
-  /// the producer's thread.
+  /// the ring.  The move assignment destroys whatever the consumer left in
+  /// the slot, here on the producer's thread.
   bool stage(T&& item) { return stage_from(item); }
-  bool stage(const T& item) { return stage_from(item); }
 
   /// Makes every staged item visible to the consumer: one seq_cst head
   /// store, one wake check.  A no-op when nothing is staged.
@@ -154,59 +151,31 @@ class SpscRing {
   }
 
   /// stage(), waiting for room while the ring is full: the first time a
-  /// stage is refused it calls `on_full()`, then publish()es (the consumer
-  /// can only free slots it can see) and waits spin → yield → park until
-  /// the consumer frees a slot.  The item stays staged.  Returns the
-  /// producer's park episodes (0 on the uncontended path).
+  /// stage is refused it calls `on_full()` (never on the uncontended path;
+  /// FleetRunner starts its stall timer there), then publish()es (the
+  /// consumer can only free slots it can see) and waits spin → yield →
+  /// park until the consumer frees a slot.  Every retry offers the same
+  /// `item`, and it is moved into the ring once.  The item stays staged.
+  /// Returns the producer's park episodes (0 on the uncontended path).
   template <typename OnFull>
   std::size_t stage_blocking(T&& item, OnFull&& on_full) {
-    return stage_wait(item, on_full);
-  }
-  template <typename OnFull>
-  std::size_t stage_blocking(const T& item, OnFull&& on_full) {
-    return stage_wait(item, on_full);
-  }
-
-  /// Stage and publish one item; false when the ring is full.  Moves from
-  /// (or copies) `item` only when the push succeeds: after a false return
-  /// the caller still holds it, to retry or to drop.
-  bool try_push(T&& item) { return push_one(item); }
-  bool try_push(const T& item) { return push_one(item); }
-
-  /// Copies up to `n` items from `items` into the ring and publishes them
-  /// together; returns how many were accepted (0 when full).  Requires
-  /// copyable T (the same burst is typically fanned out to several rings).
-  std::size_t try_push_burst(const T* items, std::size_t n) {
-    std::size_t take = 0;
-    while (take < n && stage(items[take])) ++take;
+    if (stage_from(item)) return 0;
+    on_full();
     publish();
-    return take;
-  }
-
-  /// Push the whole burst, backpressure-parking while the ring is full.
-  /// Returns the number of park episodes (0 on the uncontended path).
-  std::size_t push_burst_blocking(const T* items, std::size_t n) {
     std::size_t parked = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      parked += stage_blocking(items[i], [] {});
+    unsigned tries = 0;
+    while (!stage_from(item)) {
+      if (tries < SpinPolicy::kSpins) {
+        ++tries;
+      } else if (tries < SpinPolicy::kSpins + SpinPolicy::kYields) {
+        ++tries;
+        std::this_thread::yield();
+      } else {
+        if (producer_park()) ++parked;
+        tries = 0;
+      }
     }
-    publish();
     return parked;
-  }
-
-  /// Producer side: push or backpressure-wait until space frees up.
-  /// Every retry offers the same `item`; it is moved into the ring once.
-  void push_blocking(T item) {
-    push_blocking(std::move(item), [] {});
-  }
-
-  /// As push_blocking(item), but calls `on_full()` once when the first
-  /// attempt finds the ring full, before waiting — and never on the
-  /// uncontended path (FleetRunner starts its stall timer there).
-  template <typename OnFull>
-  void push_blocking(T item, OnFull&& on_full) {
-    stage_wait(item, on_full);
-    publish();
   }
 
   // ------------------------------------------------------------- consumer
@@ -231,18 +200,6 @@ class SpscRing {
     tail_.store((tail + take) & mask_, std::memory_order_seq_cst);
     wake_producer();
     return take;
-  }
-
-  /// Moves the oldest published item into `out`; false when none is.
-  bool try_pop(T& out) {
-    return consume_burst(1, [&out](T& item) { out = std::move(item); }) != 0;
-  }
-
-  /// Moves up to `max_burst` published items into `out` (appended) under a
-  /// single acquire/release pair.
-  std::size_t pop_burst(std::vector<T>& out, std::size_t max_burst) {
-    return consume_burst(max_burst,
-                         [&out](T& item) { out.push_back(std::move(item)); });
   }
 
   /// Consumer side: returns true as soon as published items wait, false
@@ -363,50 +320,17 @@ class SpscRing {
   }
 
  private:
-  /// The stage: moves from a non-const `item` (copies a const one) only
-  /// when there is room; a full ring leaves `item` untouched.
-  template <typename U>
-  bool stage_from(U& item) {
+  /// The stage: moves from `item` only when there is room; a full ring
+  /// leaves `item` untouched.
+  bool stage_from(T& item) {
     const std::size_t next = (stage_head_ + 1) & mask_;
     if (next == tail_cache_) {
       tail_cache_ = tail_.load(std::memory_order_acquire);
       if (next == tail_cache_) return false;
     }
-    if constexpr (std::is_const_v<U>) {
-      slots_[stage_head_] = item;
-    } else {
-      slots_[stage_head_] = std::move(item);
-    }
+    slots_[stage_head_] = std::move(item);
     stage_head_ = next;
     return true;
-  }
-
-  template <typename U>
-  bool push_one(U& item) {
-    if (!stage_from(item)) return false;
-    publish();
-    return true;
-  }
-
-  template <typename U, typename OnFull>
-  std::size_t stage_wait(U& item, OnFull& on_full) {
-    if (stage_from(item)) return 0;
-    on_full();
-    publish();
-    std::size_t parked = 0;
-    unsigned tries = 0;
-    while (!stage_from(item)) {
-      if (tries < SpinPolicy::kSpins) {
-        ++tries;
-      } else if (tries < SpinPolicy::kSpins + SpinPolicy::kYields) {
-        ++tries;
-        std::this_thread::yield();
-      } else {
-        if (producer_park()) ++parked;
-        tries = 0;
-      }
-    }
-    return parked;
   }
 
   /// Consumer side: a published item waits (refreshes the cached head when

@@ -9,8 +9,8 @@ namespace stat4 {
 #if STAT4_TELEMETRY_ENABLED
 namespace {
 
-/// Process-wide engine metrics, resolved once (each ShardedEngine shard is
-/// one Stat4Engine, so fleet-wide packet work sums here).
+/// Process-wide engine metrics, resolved once (every Stat4Engine in the
+/// process sums here).
 struct EngineMetrics {
   telemetry::Counter& packets;
   telemetry::Histogram& process_ns;
@@ -24,11 +24,11 @@ struct EngineMetrics {
   }
 };
 
-/// Packets per flush of the per-engine tick into the shared counter.  A
-/// shard's process() can be ~25ns of real work; even one uncontended
-/// atomic RMW per packet is a measurable tax at that scale, so the count
-/// is kept in a plain member (the engine is single-threaded by contract)
-/// and published every kPacketBatch packets and on advance_time().
+/// Packets per flush of the per-engine tick into the shared counter.
+/// process() can be ~25ns of real work; even one uncontended atomic RMW
+/// per packet is a measurable tax at that scale, so the count is kept in a
+/// plain member (the engine is single-threaded by contract) and published
+/// every kPacketBatch packets and on advance_time().
 constexpr std::uint32_t kPacketBatch = 256;
 
 }  // namespace
@@ -306,34 +306,6 @@ void Stat4Engine::process(const PacketFields& pkt) {
         EngineMetrics::get().process_ns.record(telemetry::now_ns() -
                                                t_start);
       })
-}
-
-void Stat4Engine::process_batch(const PacketFields* pkts, std::size_t n) {
-  if (n == 0) return;
-  STAT4_TELEMETRY_ONLY(
-      static telemetry::Histogram& t_batch =
-          telemetry::MetricsRegistry::global().histogram(
-              "stat4.engine.batch_size");
-      t_batch.record(n);
-      // Same aggregate accounting as the scalar tick: publish whole
-      // kPacketBatch multiples, keep the residue in the plain member.
-      const std::uint64_t t_total = t_tick_ + n;
-      if (t_total >= kPacketBatch) {
-        EngineMetrics::get().packets.add(t_total - (t_total % kPacketBatch));
-      }
-      t_tick_ = static_cast<std::uint32_t>(t_total % kPacketBatch);)
-  if (resolved_gen_ != mutation_gen_) refresh_resolved();
-  for (std::size_t i = 0; i < n; ++i) {
-    const PacketFields& pkt = pkts[i];
-    last_time_ = pkt.timestamp;
-    for (const ResolvedBinding& rb : resolved_) {
-      if (rb.entry->match.matches(pkt)) apply(*rb.entry, *rb.slot, pkt);
-    }
-    // An alert sink may mutate bindings mid-batch (the drill-down
-    // controller re-binds on alert); the generation check makes the rest
-    // of the batch see the mutation exactly as a scalar loop would.
-    if (resolved_gen_ != mutation_gen_) [[unlikely]] refresh_resolved();
-  }
 }
 
 void Stat4Engine::advance_time(TimeNs now) {

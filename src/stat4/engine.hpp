@@ -105,17 +105,11 @@ class Stat4Engine {
 
   // --- data path ------------------------------------------------------------
   /// Process one packet: walk the binding table, update matching
-  /// distributions, run enabled checks.  O(#bindings).
+  /// distributions, run enabled checks.  O(#bindings).  The enabled
+  /// bindings and their target distributions are flattened into a dense
+  /// cache that is rebuilt only after a binding or distribution mutation
+  /// bumps the generation counter.
   void process(const PacketFields& pkt);
-
-  /// Process a contiguous run of packets.  Bit-exact against calling
-  /// process() once per packet, in order (tests/batch_differential_test.cpp
-  /// enforces this), but resolves the binding table → distribution mapping
-  /// once per batch instead of once per packet: the enabled bindings and
-  /// their target slots are flattened into a dense cache that is only
-  /// rebuilt when a binding or distribution mutation bumps the generation
-  /// counter.
-  void process_batch(const PacketFields* pkts, std::size_t n);
 
   /// Let time pass without traffic (closes interval windows).
   void advance_time(TimeNs now);
