@@ -39,7 +39,6 @@ Stat4Engine::Stat4Engine(OverflowPolicy policy) : policy_(policy) {}
 DistId Stat4Engine::add_freq_dist(std::size_t domain_size) {
   DistSlot s;
   s.dist = std::make_unique<FreqDist>(domain_size, policy_);
-  invalidate_resolved();
   dists_.push_back(std::move(s));
   return static_cast<DistId>(dists_.size() - 1);
 }
@@ -48,7 +47,6 @@ DistId Stat4Engine::add_sliding_freq_dist(std::size_t domain_size,
                                           std::size_t window) {
   DistSlot s;
   s.dist = std::make_unique<SlidingFreqDist>(domain_size, window, policy_);
-  invalidate_resolved();
   dists_.push_back(std::move(s));
   return static_cast<DistId>(dists_.size() - 1);
 }
@@ -60,7 +58,6 @@ DistId Stat4Engine::add_interval_window(std::size_t num_intervals,
   s.k_sigma = k_sigma;
   s.dist = std::make_unique<IntervalWindow>(num_intervals, interval_len,
                                             k_sigma, policy_);
-  invalidate_resolved();
   dists_.push_back(std::move(s));
   return static_cast<DistId>(dists_.size() - 1);
 }
@@ -68,7 +65,6 @@ DistId Stat4Engine::add_interval_window(std::size_t num_intervals,
 DistId Stat4Engine::add_value_stats() {
   DistSlot s;
   s.dist = std::make_unique<RunningStats>(policy_);
-  invalidate_resolved();
   dists_.push_back(std::move(s));
   return static_cast<DistId>(dists_.size() - 1);
 }
@@ -275,9 +271,9 @@ void Stat4Engine::apply(const BindingEntry& b, DistSlot& s,
 
 void Stat4Engine::refresh_resolved() {
   resolved_.clear();
-  for (const auto& b : bindings_) {
-    if (b.has_value() && b->enabled) {
-      resolved_.push_back(ResolvedBinding{&*b, &dists_[b->dist]});
+  for (BindingId id = 0; id < bindings_.size(); ++id) {
+    if (bindings_[id].has_value() && bindings_[id]->enabled) {
+      resolved_.push_back(id);
     }
   }
   resolved_gen_ = mutation_gen_;
@@ -298,8 +294,14 @@ void Stat4Engine::process(const PacketFields& pkt) {
       })
   if (resolved_gen_ != mutation_gen_) refresh_resolved();
   last_time_ = pkt.timestamp;
-  for (const ResolvedBinding& rb : resolved_) {
-    if (rb.entry->match.matches(pkt)) apply(*rb.entry, *rb.slot, pkt);
+  // Indices, re-read per binding: an alert sink may add bindings or
+  // distributions (reallocating bindings_ or dists_), or remove or disable
+  // a binding, while this walk runs.
+  for (std::size_t i = 0; i < resolved_.size(); ++i) {
+    const std::optional<BindingEntry>& b = bindings_[resolved_[i]];
+    if (b && b->enabled && b->match.matches(pkt)) {
+      apply(*b, dists_[b->dist], pkt);
+    }
   }
   STAT4_TELEMETRY_ONLY(
       if (t_sampled) {
@@ -317,8 +319,11 @@ void Stat4Engine::advance_time(TimeNs now) {
         t_tick_ = 0;
       })
   last_time_ = now;
-  for (auto& s : dists_) {
-    if (auto* w = std::get_if<std::unique_ptr<IntervalWindow>>(&s.dist)) {
+  // Indices up to the count before the walk: a window that closes here may
+  // alert a sink that adds distributions.
+  for (std::size_t i = 0, n = dists_.size(); i < n; ++i) {
+    auto& d = dists_[i].dist;
+    if (auto* w = std::get_if<std::unique_ptr<IntervalWindow>>(&d)) {
       (*w)->advance_to(now);
     }
   }

@@ -105,10 +105,11 @@ class Stat4Engine {
 
   // --- data path ------------------------------------------------------------
   /// Process one packet: walk the binding table, update matching
-  /// distributions, run enabled checks.  O(#bindings).  The enabled
-  /// bindings and their target distributions are flattened into a dense
-  /// cache that is rebuilt only after a binding or distribution mutation
-  /// bumps the generation counter.
+  /// distributions, run enabled checks.  O(#bindings).  The ids of the
+  /// enabled bindings are cached, rebuilt only after a binding mutation
+  /// bumps the generation counter.  An alert sink may reconfigure the
+  /// engine mid-walk: a binding it removes or disables is skipped for the
+  /// rest of the packet, and a binding it adds feeds from the next packet.
   void process(const PacketFields& pkt);
 
   /// Let time pass without traffic (closes interval windows).
@@ -138,14 +139,6 @@ class Stat4Engine {
     unsigned k_sigma = 2;
   };
 
-  /// One entry of the binding-resolution cache: the enabled binding and its
-  /// pre-looked-up target slot.  Pointers stay valid until the next
-  /// structural mutation (which bumps mutation_gen_, forcing a rebuild).
-  struct ResolvedBinding {
-    const BindingEntry* entry = nullptr;
-    DistSlot* slot = nullptr;
-  };
-
   void emit(AlertKind kind, DistId id, Value value,
             const OutlierVerdict& verdict, TimeNs time);
   void apply(const BindingEntry& b, DistSlot& s, const PacketFields& pkt);
@@ -153,9 +146,8 @@ class Stat4Engine {
   DistSlot& slot(DistId id);
   const DistSlot& slot(DistId id) const;
   void refresh_resolved();
-  /// Every structural mutation (new distribution, binding add/modify/
-  /// remove) routes through here so stale ResolvedBinding pointers can
-  /// never be walked.
+  /// Every binding add/modify/remove routes through here so the next
+  /// packet rebuilds resolved_.
   void invalidate_resolved() noexcept { ++mutation_gen_; }
 
   OverflowPolicy policy_;
@@ -166,7 +158,7 @@ class Stat4Engine {
   std::uint32_t t_tick_ = 0;
   std::vector<DistSlot> dists_;
   std::vector<std::optional<BindingEntry>> bindings_;
-  std::vector<ResolvedBinding> resolved_;  ///< dense enabled-binding cache
+  std::vector<BindingId> resolved_;  ///< ids of the enabled bindings
   std::uint64_t mutation_gen_ = 0;
   std::uint64_t resolved_gen_ = ~std::uint64_t{0};  ///< != gen -> rebuild
   std::function<void(const Alert&)> alert_sink_;

@@ -285,5 +285,114 @@ TEST(Stat4Engine, AlertSequenceNumbersIncrease) {
   }
 }
 
+// An alert sink may reconfigure the engine while a packet is being applied.
+// The rest of that packet's walk must not touch the binding or distribution
+// storage the sink reallocated, must skip a binding the sink removed, and
+// must leave what the sink added to the next packet.
+
+/// Two bindings walked in this order: `hot` (an imbalance check over the
+/// destination's low three bits) and `tail` (counts every packet).
+struct MidWalkFixture {
+  Stat4Engine e;
+  DistId hot = e.add_freq_dist(8);
+  DistId tail = e.add_freq_dist(8);
+  BindingId tail_binding = 0;
+
+  MidWalkFixture() {
+    e.enable_imbalance_check(hot, 8);
+    BindingEntry b;
+    b.extractor = {Field::kDstIp, 0, 0x7};
+    b.dist = hot;
+    e.add_binding(b);
+    b.extractor = {Field::kConstOne, 0, 0x7};
+    b.dist = tail;
+    tail_binding = e.add_binding(b);
+  }
+
+  std::uint64_t sent = 0;
+
+  void send(unsigned host) {
+    e.process(pkt_to(ip(10, 0, 0, host), static_cast<TimeNs>(sent++)));
+  }
+
+  /// Balanced traffic over eight hosts, then host 3 until the first alert.
+  void run_until_alert() {
+    for (unsigned h = 0; h < 8; ++h) {
+      for (int i = 0; i < 64; ++i) send(h);
+    }
+    EXPECT_EQ(e.alerts_emitted(), 0u);
+    while (e.alerts_emitted() == 0 && sent < 4096) send(3);
+    EXPECT_EQ(e.alerts_emitted(), 1u);
+  }
+};
+
+TEST(Stat4Engine, BindingsAddedBySinkFeedFromNextPacket) {
+  MidWalkFixture f;
+  const DistId added = f.e.add_freq_dist(8);
+  f.e.set_alert_sink([&](const Alert&) {
+    BindingEntry b;
+    b.extractor = {Field::kConstOne, 0, 0x7};
+    b.dist = added;
+    for (int i = 0; i < 64; ++i) f.e.add_binding(b);
+  });
+  f.run_until_alert();
+  EXPECT_EQ(f.e.freq(f.tail).total(), f.sent)
+      << "the alert packet's walk ran on";
+  EXPECT_EQ(f.e.freq(added).total(), 0u);
+  f.send(1);
+  EXPECT_EQ(f.e.freq(added).total(), 64u) << "added bindings feed from here";
+}
+
+TEST(Stat4Engine, DistributionAddedBySinkMidWalk) {
+  MidWalkFixture f;
+  f.e.set_alert_sink([&](const Alert&) { (void)f.e.add_freq_dist(8); });
+  f.run_until_alert();
+  EXPECT_EQ(f.e.distribution_count(), 3u);
+  EXPECT_EQ(f.e.freq(f.tail).total(), f.sent);
+}
+
+TEST(Stat4Engine, BindingRemovedBySinkMidWalkIsSkipped) {
+  MidWalkFixture f;
+  f.e.set_alert_sink(
+      [&](const Alert&) { f.e.remove_binding(f.tail_binding); });
+  f.run_until_alert();
+  EXPECT_EQ(f.e.freq(f.tail).total(), f.sent - 1)
+      << "the removed binding missed the alert packet";
+  f.send(1);
+  EXPECT_EQ(f.e.freq(f.tail).total(), f.sent - 2);
+}
+
+TEST(Stat4Engine, DistributionsAddedBySinkDuringAdvanceTime) {
+  // The spike fires while advance_time() closes the first window; the
+  // window after it must still be advanced.
+  Stat4Engine e;
+  const auto rate = e.add_interval_window(16, kMillisecond);
+  const auto later = e.add_interval_window(16, kMillisecond);
+  e.enable_spike_check(rate, 4);
+  for (const DistId id : {rate, later}) {
+    BindingEntry b;
+    b.dist = id;
+    b.kind = UpdateKind::kIntervalCount;
+    e.add_binding(b);
+  }
+  e.set_alert_sink([&](const Alert&) {
+    for (int i = 0; i < 64; ++i) (void)e.add_value_stats();
+  });
+  TimeNs t = 0;
+  for (int i = 0; i < 8; ++i) {
+    for (int j = 0; j < 9 + i % 3; ++j) {
+      e.process(pkt_to(ip(10, 0, 0, 1), t + j));
+    }
+    t += kMillisecond;
+  }
+  for (int j = 0; j < 1000; ++j) e.process(pkt_to(ip(10, 0, 0, 1), t + j));
+  ASSERT_EQ(e.alerts_emitted(), 0u);
+  e.advance_time(t + kMillisecond);
+  ASSERT_EQ(e.alerts_emitted(), 1u);
+  EXPECT_EQ(e.distribution_count(), 66u);
+  EXPECT_EQ(e.window(later).completed(), e.window(rate).completed());
+  EXPECT_EQ(e.window(later).completed(), 9u);
+}
+
 }  // namespace
 }  // namespace stat4
