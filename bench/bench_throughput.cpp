@@ -156,25 +156,12 @@ void report_tier(benchmark::State& state, const p4sim::P4Switch& sw) {
   state.counters["active_tier"] = static_cast<double>(sw.active_tier());
 }
 
-/// Per-packet loop matching the committed-baseline structure: a freshly
-/// crafted packet and a fresh SwitchOutput per packet through process().
-void track_freq_loop(benchmark::State& state, stat4p4::MonitorApp& app) {
-  netsim::Rng rng(1);
-  for (auto _ : state) {
-    const auto subnet = 1 + static_cast<unsigned>(rng.below(6));
-    benchmark::DoNotOptimize(app.sw().process(p4sim::make_udp_packet(
-        p4sim::ipv4(8, 8, 8, 8), p4sim::ipv4(10, 0, subnet, 1), 1, 2)));
-  }
-  state.SetItemsProcessed(state.iterations());
-  report_tier(state, app.sw());
-}
-
 /// Steady-state drain loop — the structure FleetRunner's worker actually
 /// runs (fleet_runner.cpp): process_into() with ONE SwitchOutput whose
 /// vectors are reused, the forwarded packet's buffer recycled as the next
-/// input.  Same traffic as track_freq_loop (dst subnet varies 1..6), but
-/// zero per-packet allocation, so this isolates parse → match → action →
-/// deparse cost — the number the execution tiers compete on.
+/// input.  The dst subnet varies 1..6 with zero per-packet allocation, so
+/// this isolates parse → match → action → deparse cost — the number the
+/// execution tiers compete on.
 void track_freq_drain_loop(benchmark::State& state, stat4p4::MonitorApp& app) {
   // dst byte 2 lives at eth(14) + ipv4 dst offset(16) + 2.
   constexpr std::size_t kDstSubnetByte = 14 + 16 + 2;
@@ -197,27 +184,6 @@ void track_freq_drain_loop(benchmark::State& state, stat4p4::MonitorApp& app) {
 }
 
 }  // namespace
-
-void BM_SwitchTrackFreqPacket(benchmark::State& state) {
-  stat4p4::MonitorApp app;
-  track_freq_setup(app);
-  // Pinned to the interpreter tier: this is the baseline the Threaded/Jit
-  // variants (and the CI tier-speedup gate) divide against, so it must not
-  // silently ride the default tier.
-  app.sw().set_exec_tier(p4sim::ExecTier::kInterpreter);
-  track_freq_loop(state, app);
-}
-BENCHMARK(BM_SwitchTrackFreqPacket);
-
-void BM_SwitchTrackFreqPacketDrain(benchmark::State& state) {
-  // Interpreter tier, drain structure: the denominator for per-tier
-  // speedups with the allocation overhead already out of the picture.
-  stat4p4::MonitorApp app;
-  track_freq_setup(app);
-  app.sw().set_exec_tier(p4sim::ExecTier::kInterpreter);
-  track_freq_drain_loop(state, app);
-}
-BENCHMARK(BM_SwitchTrackFreqPacketDrain);
 
 void BM_SwitchTrackFreqPacketThreaded(benchmark::State& state) {
   stat4p4::MonitorApp app;
@@ -297,8 +263,8 @@ BENCHMARK(BM_SwitchForwardOnlyPacket);
 void BM_SwitchSketchHHPacket(benchmark::State& state) {
   // Heavy-hitter path (src/sketch/): count-min update + threshold digest
   // arming per packet.  Versus BM_SwitchForwardOnlyPacket this prices the
-  // whole sketch stage; versus BM_SwitchTrackFreqPacket it compares the
-  // sketch against the sparse tracker on the same traffic shape.  The
+  // whole sketch stage; versus BM_SwitchTrackFreqPacketThreaded it compares
+  // the sketch against the frequency tracker on the same traffic shape.  The
   // threshold is high enough that the digest never fires — steady-state
   // cost, not the alert path.  Pinned to the threaded tier; its program has
   // no run worth guarding, so it also pins the bypass of guarded runs.

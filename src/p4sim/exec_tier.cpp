@@ -6,7 +6,6 @@ namespace p4sim {
 
 const char* to_string(ExecTier tier) noexcept {
   switch (tier) {
-    case ExecTier::kInterpreter: return "interp";
     case ExecTier::kThreaded: return "threaded";
     case ExecTier::kNative: return "native";
     case ExecTier::kReference: return "reference";
@@ -15,7 +14,6 @@ const char* to_string(ExecTier tier) noexcept {
 }
 
 std::optional<ExecTier> parse_exec_tier(std::string_view name) noexcept {
-  if (name == "interp" || name == "interpreter") return ExecTier::kInterpreter;
   if (name == "threaded") return ExecTier::kThreaded;
   if (name == "native" || name == "jit") return ExecTier::kNative;
   if (name == "reference") return ExecTier::kReference;

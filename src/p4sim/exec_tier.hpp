@@ -4,8 +4,6 @@
 // no-op stages and looks tables up through their compiled entry caches; the
 // tier decides only how an action body runs:
 //
-//   kInterpreter — the op-by-op interpreter (action.cpp execute()): a
-//                  switch over Op per instruction.
 //   kThreaded    — threaded code: each action pre-decoded into a flat
 //                  stream of computed-goto handlers with pre-resolved
 //                  operands (register base pointers, folded masks), so the
@@ -19,7 +17,8 @@
 //   kReference   — the slow test oracle every other tier is differentially
 //                  tested against: its own walker with a fresh, fully
 //                  zeroed context per packet, linear table scans
-//                  (MatchActionTable::lookup_linear) and the interpreter.
+//                  (MatchActionTable::lookup_linear) and the op-by-op
+//                  interpreter (action.cpp execute()).
 //
 // All tiers hook the same invalidation protocol: any configuration write
 // bumps config_gen_ and the next packet re-lowers the pipeline for the
@@ -33,15 +32,17 @@
 
 namespace p4sim {
 
+/// The numeric values appear in committed bench rows (bench_throughput's
+/// active_tier counter) and in the differential suites' test names, so
+/// they stay fixed.
 enum class ExecTier : std::uint8_t {
-  kInterpreter,
-  kThreaded,
+  kThreaded = 1,
   kNative,
   kReference,
 };
 
-/// Stable names: "interp", "threaded", "native", "reference" (CLI flag /
-/// stats values).
+/// Stable names: "threaded", "native", "reference" (CLI flag / stats
+/// values).
 [[nodiscard]] const char* to_string(ExecTier tier) noexcept;
 
 /// Parses a tier name; std::nullopt for anything unknown.
@@ -50,7 +51,7 @@ enum class ExecTier : std::uint8_t {
 
 /// The tier newly constructed switches start on: the STAT4_EXEC_TIER
 /// environment variable (any name parse_exec_tier accepts, read once per
-/// process — the CI per-tier legs use this) or kThreaded when unset or
+/// process — the CI native-tier leg uses this) or kThreaded when unset or
 /// unparseable.
 [[nodiscard]] ExecTier default_exec_tier() noexcept;
 

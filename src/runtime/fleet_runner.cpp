@@ -57,7 +57,6 @@ control::SwitchId FleetRunner::add_switch(p4sim::P4Switch& sw) {
   if (running_) {
     throw stat4::UsageError("runtime: cannot add a switch while running");
   }
-  sw.set_exec_tier(cfg_.exec_tier);
   auto lane = std::make_unique<SwitchLane>();
   lane->sw = &sw;
   lane->ring = make_ring();

@@ -49,7 +49,6 @@
 #include <vector>
 
 #include "control/fleet.hpp"
-#include "p4sim/exec_tier.hpp"
 #include "p4sim/packet.hpp"
 #include "runtime/mpsc_channel.hpp"
 #include "runtime/spsc_ring.hpp"
@@ -72,9 +71,6 @@ class FleetRunner {
     /// burst at each end; the reused SwitchOutput keeps allocations off the
     /// per-packet path).  1 degenerates to per-packet publish and drain.
     std::size_t drain_burst = 64;
-    /// Execution tier applied to every switch at add_switch() (see
-    /// p4sim/exec_tier.hpp).  Default: threaded, or STAT4_EXEC_TIER.
-    p4sim::ExecTier exec_tier = p4sim::default_exec_tier();
   };
 
   struct Counters {

@@ -168,8 +168,7 @@ TEST(Dataflow, FoldMatchesExecuteExactly) {
   }
 
   for (const p4sim::ExecTier tier :
-       {p4sim::ExecTier::kInterpreter, p4sim::ExecTier::kThreaded,
-        p4sim::ExecTier::kNative}) {
+       {p4sim::ExecTier::kThreaded, p4sim::ExecTier::kNative}) {
     p4sim::P4Switch sw("fold", p4sim::AluProfile{true, prog.code.size()});
     const auto out = sw.declare_register(
         "out", static_cast<std::uint32_t>(cells.size()));

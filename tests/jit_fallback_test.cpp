@@ -129,9 +129,18 @@ TEST_F(JitFallback, RecoversOnceCompilerIsBack) {
   stat4p4::MonitorApp app;
   configure(app);
   app.sw().set_exec_tier(ExecTier::kNative);
+  const std::uint64_t before = fallback_count();
   const auto out = app.sw().process(test_packet());
   EXPECT_FALSE(out.dropped);
-  EXPECT_NE(app.sw().active_tier(), ExecTier::kInterpreter);
+  const ExecTier active = app.sw().active_tier();
+  EXPECT_TRUE(active == ExecTier::kNative || active == ExecTier::kThreaded)
+      << p4sim::to_string(active);
+#if STAT4_TELEMETRY_ENABLED
+  EXPECT_EQ(active == ExecTier::kThreaded, fallback_count() == before + 1)
+      << "threaded only after a counted fallback";
+#else
+  (void)before;
+#endif
 }
 
 }  // namespace

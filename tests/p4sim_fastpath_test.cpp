@@ -239,6 +239,9 @@ TEST(P4FastPath, TogglingFastPathMidStreamIsSeamless) {
 TEST(P4FastPath, ReferenceTierIsSelectableByName) {
   ASSERT_EQ(parse_exec_tier("reference"), ExecTier::kReference);
   EXPECT_STREQ(to_string(ExecTier::kReference), "reference");
+  // Only "reference" selects the op-by-op interpreter.
+  EXPECT_FALSE(parse_exec_tier("interp").has_value());
+  EXPECT_FALSE(parse_exec_tier("interpreter").has_value());
   P4Switch sw("named");
   const Fixture f = configure(sw);
   sw.table(f.lpm).insert(lpm_entry(ipv4(10, 0, 0, 0), 8, f.fwd, {2}));

@@ -88,10 +88,10 @@ struct Fleet {
     cfg.queue_capacity = 4096;
     cfg.policy = runtime::FleetRunner::Policy::kBlock;  // CLI replay: lossless
     cfg.drain_burst = batch_size;
-    cfg.exec_tier = tier;
     runner = std::make_unique<runtime::FleetRunner>(cfg);
     for (std::size_t i = 0; i < n; ++i) {
       apps.push_back(std::make_unique<stat4p4::MonitorApp>());
+      apps.back()->sw().set_exec_tier(tier);
       shells.push_back(std::make_unique<cli::RuntimeCli>(*apps.back()));
       runner->add_switch(*apps.back());
     }
@@ -296,7 +296,7 @@ int main(int argc, char** argv) {
       const auto parsed = p4sim::parse_exec_tier(name);
       if (!parsed) {
         std::cerr << "stat4_cli: bad --exec-tier '" << name
-                  << "' (interp, threaded, native, reference)\n";
+                  << "' (threaded, native, reference)\n";
         return 2;
       }
       exec_tier = *parsed;
@@ -311,7 +311,7 @@ int main(int argc, char** argv) {
       if (metrics_interval_ms == 0) metrics_interval_ms = 1;
     } else {
       std::cerr << "usage: stat4_cli [--threads N] [--batch-size N] [--ml] "
-                   "[--exec-tier {interp,threaded,native,reference}] "
+                   "[--exec-tier {threaded,native,reference}] "
                    "[--metrics[=FILE]] [--metrics-interval-ms N]\n";
       return 2;
     }
