@@ -63,62 +63,4 @@ void serialize(const Stat4EchoHeader& h, std::span<Byte> buf,
   write_be(buf, offset + 40, 8, h.sd_nx);
 }
 
-std::optional<EthernetHeader> parse_ethernet(std::span<const Byte> buf,
-                                             std::size_t offset) {
-  if (offset + EthernetHeader::kSize > buf.size()) return std::nullopt;
-  EthernetHeader h;
-  for (std::size_t i = 0; i < 6; ++i) h.dst[i] = buf[offset + i];
-  for (std::size_t i = 0; i < 6; ++i) h.src[i] = buf[offset + 6 + i];
-  h.ether_type = static_cast<std::uint16_t>(read_be(buf, offset + 12, 2));
-  return h;
-}
-
-std::optional<Ipv4Header> parse_ipv4(std::span<const Byte> buf,
-                                     std::size_t offset) {
-  if (offset + Ipv4Header::kSize > buf.size()) return std::nullopt;
-  if ((buf[offset] >> 4) != 4) return std::nullopt;  // not IPv4
-  Ipv4Header h;
-  h.total_length =
-      static_cast<std::uint16_t>(read_be(buf, offset + kIpv4LenOff, 2));
-  h.ttl = buf[offset + kIpv4TtlOff];
-  h.protocol = buf[offset + kIpv4ProtoOff];
-  h.src = static_cast<std::uint32_t>(read_be(buf, offset + kIpv4SrcOff, 4));
-  h.dst = static_cast<std::uint32_t>(read_be(buf, offset + kIpv4DstOff, 4));
-  return h;
-}
-
-std::optional<TcpHeader> parse_tcp(std::span<const Byte> buf,
-                                   std::size_t offset) {
-  if (offset + TcpHeader::kSize > buf.size()) return std::nullopt;
-  TcpHeader h;
-  h.src_port = static_cast<std::uint16_t>(read_be(buf, offset, 2));
-  h.dst_port = static_cast<std::uint16_t>(read_be(buf, offset + 2, 2));
-  h.seq = static_cast<std::uint32_t>(read_be(buf, offset + 4, 4));
-  h.flags = buf[offset + kTcpFlagsOff];
-  return h;
-}
-
-std::optional<UdpHeader> parse_udp(std::span<const Byte> buf,
-                                   std::size_t offset) {
-  if (offset + UdpHeader::kSize > buf.size()) return std::nullopt;
-  UdpHeader h;
-  h.src_port = static_cast<std::uint16_t>(read_be(buf, offset, 2));
-  h.dst_port = static_cast<std::uint16_t>(read_be(buf, offset + 2, 2));
-  h.length = static_cast<std::uint16_t>(read_be(buf, offset + 4, 2));
-  return h;
-}
-
-std::optional<Stat4EchoHeader> parse_stat4_echo(std::span<const Byte> buf,
-                                                std::size_t offset) {
-  if (offset + Stat4EchoHeader::kSize > buf.size()) return std::nullopt;
-  Stat4EchoHeader h;
-  h.value = static_cast<std::int64_t>(read_be(buf, offset, 8));
-  h.n = read_be(buf, offset + 8, 8);
-  h.xsum = read_be(buf, offset + 16, 8);
-  h.xsumsq = read_be(buf, offset + 24, 8);
-  h.var_nx = read_be(buf, offset + 32, 8);
-  h.sd_nx = read_be(buf, offset + 40, 8);
-  return h;
-}
-
 }  // namespace p4sim

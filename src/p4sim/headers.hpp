@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 
 #include "p4sim/packet.hpp"
 
@@ -72,8 +71,9 @@ struct Stat4EchoHeader {
 };
 
 // ---- serialization -------------------------------------------------------
-// Each header serializes at a given offset; parse returns nullopt if the
-// buffer is too short.  Offsets compose: eth at 0, ipv4 at 14, l4 at 34.
+// Each header serializes at a given offset (nothing is written when the
+// buffer is too short); parse() in parser.hpp reads them back.  Offsets
+// compose: eth at 0, ipv4 at 14, l4 at 34.
 
 void serialize(const EthernetHeader& h, std::span<Byte> buf,
                std::size_t offset = 0);
@@ -82,16 +82,5 @@ void serialize(const TcpHeader& h, std::span<Byte> buf, std::size_t offset);
 void serialize(const UdpHeader& h, std::span<Byte> buf, std::size_t offset);
 void serialize(const Stat4EchoHeader& h, std::span<Byte> buf,
                std::size_t offset);
-
-[[nodiscard]] std::optional<EthernetHeader> parse_ethernet(
-    std::span<const Byte> buf, std::size_t offset = 0);
-[[nodiscard]] std::optional<Ipv4Header> parse_ipv4(std::span<const Byte> buf,
-                                                   std::size_t offset);
-[[nodiscard]] std::optional<TcpHeader> parse_tcp(std::span<const Byte> buf,
-                                                 std::size_t offset);
-[[nodiscard]] std::optional<UdpHeader> parse_udp(std::span<const Byte> buf,
-                                                 std::size_t offset);
-[[nodiscard]] std::optional<Stat4EchoHeader> parse_stat4_echo(
-    std::span<const Byte> buf, std::size_t offset);
 
 }  // namespace p4sim

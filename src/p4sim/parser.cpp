@@ -87,12 +87,10 @@ inline std::uint64_t be64(const Byte* p) {
 
 ParsedPacket parse(const Packet& pkt) {
   // Fused parser: one size check per header, direct loads into the
-  // in-place header structs.  Accept/reject decisions are bit-identical to
-  // the per-header helpers in headers.cpp (parse_ethernet & co., which
-  // remain the reference implementation for external callers): stop at the
-  // first header that does not fit, reject IPv4 whose version nibble is
-  // not 4.  This runs once per packet ahead of every pipeline tier, so it
-  // is as lean as the hot loop itself.
+  // in-place header structs.  It stops at the first header that does not
+  // fit and rejects IPv4 whose version nibble is not 4 (then neither ipv4
+  // nor an L4 header is valid).  This runs once per packet ahead of every
+  // pipeline tier, so it is as lean as the hot loop itself.
   ParsedPacket out;
   const Byte* d = pkt.data.data();
   const std::size_t n = pkt.data.size();

@@ -35,23 +35,44 @@ TEST(ByteOrder, SixtyFourBitValues) {
   EXPECT_EQ(read_be(buf, 0, 8), 0x0123456789ABCDEFull);
 }
 
+// Header layouts round-trip through serialize() and the switch parser.
+
+/// A zeroed frame of `size` bytes opening with an Ethernet header of
+/// `ether_type`.
+Packet frame(std::uint16_t ether_type, std::size_t size) {
+  Packet pkt;
+  pkt.data.assign(size, 0);
+  EthernetHeader eth;
+  eth.ether_type = ether_type;
+  serialize(eth, pkt.data);
+  return pkt;
+}
+
+constexpr std::size_t kL4Offset = EthernetHeader::kSize + Ipv4Header::kSize;
+
 TEST(Headers, EthernetRoundTrip) {
   EthernetHeader h;
   h.dst = {1, 2, 3, 4, 5, 6};
   h.src = {7, 8, 9, 10, 11, 12};
   h.ether_type = kEtherTypeIpv4;
-  std::vector<Byte> buf(EthernetHeader::kSize, 0);
-  serialize(h, buf, 0);
-  const auto parsed = parse_ethernet(buf, 0);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->dst, h.dst);
-  EXPECT_EQ(parsed->src, h.src);
-  EXPECT_EQ(parsed->ether_type, h.ether_type);
+  Packet pkt;
+  pkt.data.assign(EthernetHeader::kSize, 0);
+  serialize(h, pkt.data);
+  const ParsedPacket p = parse(pkt);
+  EXPECT_EQ(p.eth.dst, h.dst);
+  EXPECT_EQ(p.eth.src, h.src);
+  EXPECT_EQ(p.eth.ether_type, h.ether_type);
+  EXPECT_FALSE(p.ipv4.has_value()) << "no room for an IPv4 header";
 }
 
 TEST(Headers, EthernetTooShort) {
-  std::vector<Byte> buf(10, 0);
-  EXPECT_FALSE(parse_ethernet(buf, 0).has_value());
+  Packet pkt;
+  pkt.data.assign(10, 0xFF);
+  const ParsedPacket p = parse(pkt);
+  EXPECT_EQ(p.eth.ether_type, 0);
+  EXPECT_EQ(p.eth.dst, MacAddr{});
+  EXPECT_FALSE(p.ipv4.has_value());
+  EXPECT_FALSE(p.echo.has_value());
 }
 
 TEST(Headers, Ipv4RoundTrip) {
@@ -61,21 +82,28 @@ TEST(Headers, Ipv4RoundTrip) {
   h.total_length = 1234;
   h.src = 0x0A000001;
   h.dst = 0x0A000502;
-  std::vector<Byte> buf(Ipv4Header::kSize, 0);
-  serialize(h, buf, 0);
-  const auto parsed = parse_ipv4(buf, 0);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->ttl, 17);
-  EXPECT_EQ(parsed->protocol, kIpProtoUdp);
-  EXPECT_EQ(parsed->total_length, 1234);
-  EXPECT_EQ(parsed->src, h.src);
-  EXPECT_EQ(parsed->dst, h.dst);
+  Packet pkt = frame(kEtherTypeIpv4, kL4Offset);
+  serialize(h, pkt.data, EthernetHeader::kSize);
+  const ParsedPacket p = parse(pkt);
+  ASSERT_TRUE(p.ipv4.has_value());
+  EXPECT_EQ(p.ipv4->ttl, 17);
+  EXPECT_EQ(p.ipv4->protocol, kIpProtoUdp);
+  EXPECT_EQ(p.ipv4->total_length, 1234);
+  EXPECT_EQ(p.ipv4->src, h.src);
+  EXPECT_EQ(p.ipv4->dst, h.dst);
+  EXPECT_FALSE(p.udp.has_value()) << "no room for a UDP header";
 }
 
 TEST(Headers, Ipv4RejectsWrongVersion) {
-  std::vector<Byte> buf(Ipv4Header::kSize, 0);
-  buf[0] = 0x60;  // IPv6 version nibble
-  EXPECT_FALSE(parse_ipv4(buf, 0).has_value());
+  Packet pkt = frame(kEtherTypeIpv4, kL4Offset + TcpHeader::kSize);
+  Ipv4Header ip;
+  ip.protocol = kIpProtoTcp;
+  serialize(ip, pkt.data, EthernetHeader::kSize);
+  serialize(TcpHeader{}, pkt.data, kL4Offset);
+  pkt.data[EthernetHeader::kSize] = 0x60;  // IPv6 version nibble
+  const ParsedPacket p = parse(pkt);
+  EXPECT_FALSE(p.ipv4.has_value());
+  EXPECT_FALSE(p.tcp.has_value());
 }
 
 TEST(Headers, TcpRoundTrip) {
@@ -84,14 +112,17 @@ TEST(Headers, TcpRoundTrip) {
   h.dst_port = 443;
   h.seq = 0xABCDEF01;
   h.flags = kTcpSyn | kTcpAck;
-  std::vector<Byte> buf(TcpHeader::kSize, 0);
-  serialize(h, buf, 0);
-  const auto parsed = parse_tcp(buf, 0);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->src_port, 12345);
-  EXPECT_EQ(parsed->dst_port, 443);
-  EXPECT_EQ(parsed->seq, 0xABCDEF01u);
-  EXPECT_EQ(parsed->flags, kTcpSyn | kTcpAck);
+  Packet pkt = frame(kEtherTypeIpv4, kL4Offset + TcpHeader::kSize);
+  Ipv4Header ip;
+  ip.protocol = kIpProtoTcp;
+  serialize(ip, pkt.data, EthernetHeader::kSize);
+  serialize(h, pkt.data, kL4Offset);
+  const ParsedPacket p = parse(pkt);
+  ASSERT_TRUE(p.tcp.has_value());
+  EXPECT_EQ(p.tcp->src_port, 12345);
+  EXPECT_EQ(p.tcp->dst_port, 443);
+  EXPECT_EQ(p.tcp->seq, 0xABCDEF01u);
+  EXPECT_EQ(p.tcp->flags, kTcpSyn | kTcpAck);
 }
 
 TEST(Headers, EchoRoundTripNegativeValue) {
@@ -102,13 +133,14 @@ TEST(Headers, EchoRoundTripNegativeValue) {
   h.xsumsq = 4;
   h.var_nx = 0;
   h.sd_nx = 0;
-  std::vector<Byte> buf(Stat4EchoHeader::kSize, 0);
-  serialize(h, buf, 0);
-  const auto parsed = parse_stat4_echo(buf, 0);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->value, -255);
-  EXPECT_EQ(parsed->n, 1u);
-  EXPECT_EQ(parsed->xsumsq, 4u);
+  Packet pkt = frame(kEtherTypeStat4Echo,
+                     EthernetHeader::kSize + Stat4EchoHeader::kSize);
+  serialize(h, pkt.data, EthernetHeader::kSize);
+  const ParsedPacket p = parse(pkt);
+  ASSERT_TRUE(p.echo.has_value());
+  EXPECT_EQ(p.echo->value, -255);
+  EXPECT_EQ(p.echo->n, 1u);
+  EXPECT_EQ(p.echo->xsumsq, 4u);
 }
 
 TEST(Parser, UdpPacketFullChain) {
