@@ -10,7 +10,6 @@
 // of producers.
 #pragma once
 
-#include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <utility>
@@ -23,11 +22,8 @@ class MpscChannel {
  public:
   /// Any thread may push.
   void push(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      items_.push_back(std::move(item));
-    }
-    cv_.notify_one();
+    std::lock_guard<std::mutex> lock(mu_);
+    items_.push_back(std::move(item));
   }
 
   /// Move everything currently queued into `out` (appended); returns the
@@ -44,7 +40,6 @@ class MpscChannel {
 
  private:
   std::mutex mu_;
-  std::condition_variable cv_;
   std::deque<T> items_;
 };
 

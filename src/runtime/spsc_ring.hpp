@@ -45,11 +45,11 @@
 // Seq_cst accesses (rather than release/acquire + seq_cst fences) keep the
 // protocol fully visible to TSan, and on x86 cost the same as the fence
 // they replace; the non-contended path pays one such store+load per burst.
-// Park episodes are counted per side (plain counters owned by the waiting
-// thread, read via relaxed atomics for telemetry) so stalls are observable
-// instead of burning a hot loop.  When the consumer stops spinning it also
-// raises an idle flag (consumer_idle()): a producer that holds staged items
-// reads it to publish at once instead of waiting for a full stage.
+// The consumer's park episodes and empty polls accumulate in the IdleStats
+// its caller passes to wait_readable(), so a lane's stalls are observable.
+// When the consumer stops spinning it also raises an idle flag
+// (consumer_idle()): a producer that holds staged items reads it to publish
+// at once instead of waiting for a full stage.
 //
 // `close()` is part of the shutdown protocol and must be called by the
 // producer thread (or after the producer has provably stopped), after its
@@ -156,13 +156,11 @@ class SpscRing {
   /// consumer can only free slots it can see) and waits spin → yield →
   /// park until the consumer frees a slot.  Every retry offers the same
   /// `item`, and it is moved into the ring once.  The item stays staged.
-  /// Returns the producer's park episodes (0 on the uncontended path).
   template <typename OnFull>
-  std::size_t stage_blocking(T&& item, OnFull&& on_full) {
-    if (stage_from(item)) return 0;
+  void stage_blocking(T&& item, OnFull&& on_full) {
+    if (stage_from(item)) return;
     on_full();
     publish();
-    std::size_t parked = 0;
     unsigned tries = 0;
     while (!stage_from(item)) {
       if (tries < SpinPolicy::kSpins) {
@@ -171,11 +169,10 @@ class SpscRing {
         ++tries;
         std::this_thread::yield();
       } else {
-        if (producer_park()) ++parked;
+        producer_park();
         tries = 0;
       }
     }
-    return parked;
   }
 
   // ------------------------------------------------------------- consumer
@@ -258,10 +255,7 @@ class SpscRing {
     const bool park = head_.load(std::memory_order_seq_cst) ==
                           tail_.load(std::memory_order_relaxed) &&
                       !closed_.load(std::memory_order_seq_cst);
-    if (park) {
-      consumer_parks_.fetch_add(1, std::memory_order_relaxed);
-      consumer_signal_.wait(sig, std::memory_order_relaxed);
-    }
+    if (park) consumer_signal_.wait(sig, std::memory_order_relaxed);
     consumer_waiting_.store(0, std::memory_order_relaxed);
     return park;
   }
@@ -310,15 +304,6 @@ class SpscRing {
 
   [[nodiscard]] std::size_t capacity() const noexcept { return mask_; }
 
-  /// Park episodes per side, for telemetry (each counter is written only by
-  /// its own side; reads are racy-but-exact snapshots).
-  [[nodiscard]] std::uint64_t consumer_parks() const noexcept {
-    return consumer_parks_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t producer_parks() const noexcept {
-    return producer_parks_.load(std::memory_order_relaxed);
-  }
-
  private:
   /// The stage: moves from `item` only when there is room; a full ring
   /// leaves `item` untouched.
@@ -342,20 +327,17 @@ class SpscRing {
     return head_cache_ != tail;
   }
 
-  /// Producer side: park until the consumer frees a slot; true after a
-  /// park episode.  The close() flag is producer-owned, so only tail
-  /// movement can wake us.  Same signal-counter protocol as consumer_park().
-  bool producer_park() {
+  /// Producer side: park until the consumer frees a slot (returns at once
+  /// when one already is).  The close() flag is producer-owned, so only
+  /// tail movement can wake us.  Same signal-counter protocol as
+  /// consumer_park().
+  void producer_park() {
     const std::uint32_t sig = producer_signal_.load(std::memory_order_relaxed);
     producer_waiting_.store(1, std::memory_order_seq_cst);
-    const bool park = ((stage_head_ + 1) & mask_) ==
-                      tail_.load(std::memory_order_seq_cst);
-    if (park) {
-      producer_parks_.fetch_add(1, std::memory_order_relaxed);
+    if (((stage_head_ + 1) & mask_) == tail_.load(std::memory_order_seq_cst)) {
       producer_signal_.wait(sig, std::memory_order_relaxed);
     }
     producer_waiting_.store(0, std::memory_order_relaxed);
-    return park;
   }
 
   /// Called after every head publish.  The seq_cst head store + seq_cst
@@ -399,8 +381,6 @@ class SpscRing {
   // 32-bit on purpose — the futex-native width on Linux.
   std::atomic<std::uint32_t> consumer_signal_{0};
   std::atomic<std::uint32_t> producer_signal_{0};
-  std::atomic<std::uint64_t> consumer_parks_{0};
-  std::atomic<std::uint64_t> producer_parks_{0};
 };
 
 }  // namespace runtime

@@ -223,10 +223,6 @@ TEST(SpscBurstStress, RandomBurstsThreaded) {
   }
   producer.join();
   EXPECT_EQ(expected, kTotal);
-  // The tiny ring guarantees backpressure: the producer must have parked
-  // (or at least the counters must be consistent snapshots).
-  EXPECT_GE(ring.producer_parks(), 0u);
-  EXPECT_GE(ring.consumer_parks(), 0u);
 }
 
 // Same stress with bursts and single-item publishes and drains mixed on
