@@ -1,6 +1,8 @@
 #include "analysis/pass_manager.hpp"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -22,35 +24,32 @@ using p4sim::RegisterId;
 
 namespace {
 
-/// Which of the canonical passes are enabled.
-struct PassSet {
-  bool constprop = false;
-  bool strength = false;
-  bool cse = false;
-  bool dce = false;
-  bool pack = false;
+/// Which of the canonical passes are enabled, in pass_names() order.
+using PassSet = std::array<bool, 5>;
+constexpr std::size_t kPackPass = 4;
+
+/// The per-program passes, in pass_names() order (stage packing, the last
+/// name, rewrites the pipeline instead).
+struct ProgramPass {
+  const char* name;
+  std::size_t (*run)(Program&, const PassContext&);
 };
+constexpr ProgramPass kProgramPasses[] = {{"constprop", run_constprop},
+                                          {"strength", run_strength_reduction},
+                                          {"cse", run_cse},
+                                          {"dce", run_dce}};
 
 PassSet resolve_passes(const std::vector<std::string>& names) {
-  PassSet set;
+  PassSet set{};
   if (names.empty()) {
-    set.constprop = set.strength = set.cse = set.dce = set.pack = true;
+    set.fill(true);
     return set;
   }
+  const std::vector<std::string>& all = pass_names();
   for (const std::string& n : names) {
-    if (n == "constprop") {
-      set.constprop = true;
-    } else if (n == "strength") {
-      set.strength = true;
-    } else if (n == "cse") {
-      set.cse = true;
-    } else if (n == "dce") {
-      set.dce = true;
-    } else if (n == "pack") {
-      set.pack = true;
-    } else {
-      throw std::invalid_argument("unknown pass: " + n);
-    }
+    const auto it = std::find(all.begin(), all.end(), n);
+    if (it == all.end()) throw std::invalid_argument("unknown pass: " + n);
+    set[static_cast<std::size_t>(it - all.begin())] = true;
   }
   return set;
 }
@@ -261,17 +260,102 @@ class PassValidator {
   OptimizeResult& res_;
 };
 
-void note_pass_totals(
-    const std::map<std::pair<std::string, std::string>, std::size_t>& counts,
-    DiagnosticEngine& diags) {
-  for (const auto& [key, n] : counts) {
-    const auto& [pass, program] = key;
-    SourceLoc loc;
-    loc.program = program;
-    diags.report(rule_for_pass(pass), Severity::kNote,
-                 pass + " applied " + std::to_string(n) + " rewrite(s)", loc);
+/// The fixpoint driver optimize_switch and optimize_program share: it runs
+/// rounds until one rewrites nothing, runs and validates the per-program
+/// passes, tallies rewrites per (pass, program) and closes the result.
+class Driver {
+ public:
+  Driver(const PassManagerOptions& options, const PassSet& enabled,
+         const p4sim::RegisterFile* registers, OptimizeResult& res)
+      : options_(options),
+        enabled_(enabled),
+        validator_(options, registers, res),
+        res_(res) {}
+
+  [[nodiscard]] bool enabled(std::size_t pass) const { return enabled_[pass]; }
+  [[nodiscard]] PassValidator& validator() { return validator_; }
+
+  /// Calls `round()`, which returns its rewrites, until a round rewrites
+  /// nothing (a fixpoint) or options.max_iterations rounds have run.
+  template <typename Round>
+  void iterate(Round&& round) {
+    for (std::size_t i = 0; i < options_.max_iterations; ++i) {
+      const std::size_t rewrites = round();
+      ++res_.iterations;
+      if (rewrites == 0) {
+        res_.fixpoint = true;
+        return;
+      }
+    }
   }
-}
+
+  /// Runs each enabled per-program pass once over `program`, in canonical
+  /// order.  With validation on, each pass's output is re-proved; a refuted
+  /// rewrite is reverted and contributes no rewrites.  Returns the
+  /// rewrites.  Rewrites invalidate the builder-recorded approx-span
+  /// instruction ranges, so they are dropped rather than shipped stale.
+  std::size_t run_program_passes(Program& program, const PassContext& ctx) {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < std::size(kProgramPasses); ++i) {
+      if (!enabled_[i]) continue;
+      const ProgramPass& pass = kProgramPasses[i];
+      std::optional<Program> snapshot;
+      if (validator_.enabled()) snapshot = program;
+      std::size_t k = pass.run(program, ctx);
+      if (snapshot && (k != 0 || options_.post_pass_mutation) &&
+          !validator_.check_rewrite(*snapshot, program, ctx, pass.name)) {
+        program = std::move(*snapshot);
+        k = 0;
+      }
+      account(pass.name, program.name, k);
+      n += k;
+    }
+    if (n != 0) program.approx_spans.clear();
+    return n;
+  }
+
+  void account(const std::string& pass, const std::string& program,
+               std::size_t n) {
+    if (n == 0) return;
+    counts_[{pass, program}] += n;
+    totals_[pass] += n;
+  }
+
+  /// Closes the result: S4-OPT-007 at `where` when no fixpoint was reached,
+  /// one S4-OPT note per (pass, program) that rewrote, the validation
+  /// summary, sorted diagnostics and the enabled passes' totals.
+  void finish(const SourceLoc& where) {
+    if (!res_.fixpoint) {
+      res_.diags.report("S4-OPT-007", Severity::kWarning,
+                        "fixpoint not reached within " +
+                            std::to_string(options_.max_iterations) +
+                            " iteration(s)",
+                        where);
+    }
+    for (const auto& [key, n] : counts_) {
+      const auto& [pass, program] = key;
+      SourceLoc loc;
+      loc.program = program;
+      res_.diags.report(rule_for_pass(pass), Severity::kNote,
+                        pass + " applied " + std::to_string(n) + " rewrite(s)",
+                        loc);
+    }
+    validator_.note_summary();
+    res_.diags.sort();
+    const std::vector<std::string>& names = pass_names();
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      if (enabled_[i]) res_.pass_stats.push_back({names[i], totals_[names[i]]});
+    }
+  }
+
+ private:
+  const PassManagerOptions& options_;
+  PassSet enabled_;
+  PassValidator validator_;
+  OptimizeResult& res_;
+  std::map<std::pair<std::string, std::string>, std::size_t> counts_;
+  std::map<std::string, std::size_t> totals_;
+};
 
 }  // namespace
 
@@ -330,23 +414,14 @@ CostSummary measure_cost(const Program& program) {
 
 OptimizeResult optimize_switch(P4Switch& sw,
                                const PassManagerOptions& options) {
-  const PassSet enabled = resolve_passes(options.passes);
   OptimizeResult res;
   res.before = measure_cost(sw);
-  PassValidator validator(options, &sw.registers(), res);
-
-  // (pass, program) -> cumulative rewrites, for the S4-OPT notes.
-  std::map<std::pair<std::string, std::string>, std::size_t> counts;
-  std::map<std::string, std::size_t> totals;
+  Driver driver(options, resolve_passes(options.passes), &sw.registers(),
+                res);
+  PassValidator& validator = driver.validator();
   std::set<std::string> warned_shared;
-  auto account = [&](const char* pass, const std::string& program,
-                     std::size_t n) {
-    if (n == 0) return;
-    counts[{pass, program}] += n;
-    totals[pass] += n;
-  };
 
-  for (std::size_t round = 0; round < options.max_iterations; ++round) {
+  driver.iterate([&] {
     const ActionContexts actx = compute_contexts(sw);
     for (ActionId id = 0; id < sw.action_count(); ++id) {
       if (!actx.shared[id]) continue;
@@ -364,36 +439,11 @@ OptimizeResult optimize_switch(P4Switch& sw,
     std::size_t round_rewrites = 0;
     for (ActionId id = 0; id < sw.action_count(); ++id) {
       Program program = sw.action(id);  // work on a copy, install on change
-      const PassContext& ctx = actx.ctx[id];
-      std::size_t n = 0;
-      // Runs one pass, then (when validation is on) re-proves its output;
-      // a refuted rewrite is reverted and contributes no rewrites.
-      auto run_checked = [&](const char* pass,
-                             std::size_t (*fn)(Program&, const PassContext&)) {
-        std::optional<Program> snapshot;
-        if (validator.enabled()) snapshot = program;
-        std::size_t k = fn(program, ctx);
-        if (snapshot && (k != 0 || options.post_pass_mutation) &&
-            !validator.check_rewrite(*snapshot, program, ctx, pass)) {
-          program = std::move(*snapshot);
-          k = 0;
-        }
-        account(pass, program.name, k);
-        n += k;
-      };
-      if (enabled.constprop) run_checked("constprop", run_constprop);
-      if (enabled.strength) run_checked("strength", run_strength_reduction);
-      if (enabled.cse) run_checked("cse", run_cse);
-      if (enabled.dce) run_checked("dce", run_dce);
-      if (n != 0) {
-        // Rewrites invalidate the builder-recorded approx-span instruction
-        // ranges; drop them rather than ship stale accuracy metadata.
-        program.approx_spans.clear();
-        sw.replace_action(id, std::move(program));
-      }
+      const std::size_t n = driver.run_program_passes(program, actx.ctx[id]);
+      if (n != 0) sw.replace_action(id, std::move(program));
       round_rewrites += n;
     }
-    if (enabled.pack) {
+    if (driver.enabled(kPackPass)) {
       // Snapshot the pre-pack pipeline so each merged stage can be diffed
       // back to the pair of stages it replaced — and recompute contexts
       // first: the per-action rewrites above may have renamed temps, so the
@@ -438,35 +488,13 @@ OptimizeResult optimize_switch(P4Switch& sw,
           k = 0;
         }
       }
-      account("pack", sw.name(), k);
+      driver.account("pack", sw.name(), k);
       round_rewrites += k;
     }
-    ++res.iterations;
-    if (round_rewrites == 0) {
-      res.fixpoint = true;
-      break;
-    }
-  }
+    return round_rewrites;
+  });
 
-  if (!res.fixpoint) {
-    res.diags.report("S4-OPT-007", Severity::kWarning,
-                     "fixpoint not reached within " +
-                         std::to_string(options.max_iterations) +
-                         " iteration(s)",
-                     SourceLoc{});
-  }
-  note_pass_totals(counts, res.diags);
-  validator.note_summary();
-  res.diags.sort();
-
-  for (const std::string& pass : pass_names()) {
-    const bool on = (pass == "constprop" && enabled.constprop) ||
-                    (pass == "strength" && enabled.strength) ||
-                    (pass == "cse" && enabled.cse) ||
-                    (pass == "dce" && enabled.dce) ||
-                    (pass == "pack" && enabled.pack);
-    if (on) res.pass_stats.push_back({pass, totals[pass]});
-  }
+  driver.finish(SourceLoc{});
   res.after = measure_cost(sw);
   return res;
 }
@@ -477,69 +505,17 @@ OptimizeResult optimize_program_impl(Program& program,
                                      const p4sim::RegisterFile* registers,
                                      const PassManagerOptions& options) {
   PassSet enabled = resolve_passes(options.passes);
-  enabled.pack = false;  // pipeline-level; meaningless for one program
+  enabled[kPackPass] = false;  // pipeline-level; meaningless for one program
   OptimizeResult res;
   res.before = measure_cost(program);
-  PassValidator validator(options, registers, res);
-
-  std::map<std::pair<std::string, std::string>, std::size_t> counts;
-  std::map<std::string, std::size_t> totals;
+  Driver driver(options, enabled, registers, res);
   PassContext ctx;  // standalone: zero on entry, nothing live out
   ctx.registers = registers;
-  auto account = [&](const char* pass, std::size_t n) {
-    if (n == 0) return;
-    counts[{pass, program.name}] += n;
-    totals[pass] += n;
-  };
+  driver.iterate([&] { return driver.run_program_passes(program, ctx); });
 
-  for (std::size_t round = 0; round < options.max_iterations; ++round) {
-    std::size_t round_rewrites = 0;
-    auto run_checked = [&](const char* pass,
-                           std::size_t (*fn)(Program&, const PassContext&)) {
-      std::optional<Program> snapshot;
-      if (validator.enabled()) snapshot = program;
-      std::size_t k = fn(program, ctx);
-      if (snapshot && (k != 0 || options.post_pass_mutation) &&
-          !validator.check_rewrite(*snapshot, program, ctx, pass)) {
-        program = std::move(*snapshot);
-        k = 0;
-      }
-      account(pass, k);
-      round_rewrites += k;
-    };
-    if (enabled.constprop) run_checked("constprop", run_constprop);
-    if (enabled.strength) run_checked("strength", run_strength_reduction);
-    if (enabled.cse) run_checked("cse", run_cse);
-    if (enabled.dce) run_checked("dce", run_dce);
-    ++res.iterations;
-    if (round_rewrites == 0) {
-      res.fixpoint = true;
-      break;
-    }
-    // Any rewrite invalidates builder-recorded approx-span ranges.
-    program.approx_spans.clear();
-  }
-
-  if (!res.fixpoint) {
-    SourceLoc loc;
-    loc.program = program.name;
-    res.diags.report("S4-OPT-007", Severity::kWarning,
-                     "fixpoint not reached within " +
-                         std::to_string(options.max_iterations) +
-                         " iteration(s)",
-                     loc);
-  }
-  note_pass_totals(counts, res.diags);
-  validator.note_summary();
-  res.diags.sort();
-
-  for (const std::string& pass : pass_names()) {
-    const bool on = (pass == "constprop" && enabled.constprop) ||
-                    (pass == "strength" && enabled.strength) ||
-                    (pass == "cse" && enabled.cse) ||
-                    (pass == "dce" && enabled.dce);
-    if (on) res.pass_stats.push_back({pass, totals[pass]});
-  }
+  SourceLoc loc;
+  loc.program = program.name;
+  driver.finish(loc);
   res.after = measure_cost(program);
   return res;
 }
