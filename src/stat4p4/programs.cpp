@@ -192,7 +192,7 @@ Program build_track_freq(const Stat4Registers& regs, const Stat4Config& cfg,
   // quantization slack, see stat4::FreqDist::frequency_outlier).  sd is
   // computed here — at check time — which is the paper's lazy evaluation.
   // Straight-line code still spells out the MSB search on every packet: the
-  // interpreter and native tiers run it whether or not the entry checks;
+  // reference and native tiers run it whether or not the entry checks;
   // the threaded tier skips it while `check` is zero (every op it feeds
   // only matters through `tripped`, a band with `check`).
   const TempId sd = b.approx_sqrt(u.var);
@@ -364,7 +364,7 @@ Program build_window_tick(const Stat4Registers& regs, const Stat4Config& cfg,
   // distribution plus two standard deviations").  sd, the checks and the
   // eviction below only matter on the packet that rolls the interval: the
   // stores keep the old values unless `rolled`.  The straight-line program
-  // computes them on every packet (so do the interpreter and native
+  // computes them on every packet (so do the reference and native
   // tiers); the threaded tier skips them while `rolled` is zero, which is
   // what makes sd lazy there — one sqrt per interval.
   const TempId sd = b.approx_sqrt(var0);
