@@ -102,8 +102,9 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "an output register or field carries a vacuous error bound (half its "
        "ring): the precision analysis proves nothing about its accuracy"},
       {"S4-PREC-002", Severity::kWarning,
-       "error growth did not stabilize and is not polynomial; the bound at "
-       "the observation budget is assumed at the vacuous half-ring"},
+       "growth did not stabilize and is not polynomial; the register was "
+       "widened, so its bounds at the observation budget are assumed, not "
+       "proven"},
       {"S4-PREC-003", Severity::kNote,
        "proven per-output max |error| and value bound under the configured "
        "observation budget"},

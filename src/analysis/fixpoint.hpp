@@ -6,8 +6,9 @@
 // holds everything else:
 //
 //   * the state: one abstract value per register array, index-insensitive,
-//     and the packet fields at pipeline entry, seeded from AnalysisOptions
-//     (natural field widths, `timestamp_bound_ns`, `field_bounds`);
+//     and the packet fields at pipeline entry, seeded from the field table
+//     (`analysis_bits`) and AnalysisOptions (`timestamp_bound_ns`,
+//     `field_bounds`);
 //   * the step: one abstract packet applies every alternative of every
 //     stage from the stage's incoming state and joins the results.
 //     Skipping a stage is one more alternative, so the state only grows;
@@ -36,7 +37,8 @@
 //   static std::array<U128, kTracked> tracked(const Value&);
 //   static void jump(Value&, const std::array<PolyFit, kTracked>&,
 //                    U128 steps);       // apply the fits over `steps`
-//   static void widen(Value&, unsigned width_bits);
+//   static void widen(Value& probed, const Value& before,
+//                     unsigned width_bits);  // `before`: pre-probe value
 //   void transfer(const StageAlternative&, std::vector<Value>& regs,
 //                 FieldValues<Value>& fields);
 #pragma once
@@ -132,9 +134,10 @@ class FixpointEngine {
         budget_(std::max<std::uint64_t>(1, options.max_observations)) {
     for (std::size_t i = 0; i < entry_fields_.size(); ++i) {
       const auto f = static_cast<p4sim::FieldRef>(i);
-      entry_fields_[i] = Value{f == p4sim::FieldRef::kMetaIngressTs
-                                   ? Interval{0, options.timestamp_bound_ns}
-                                   : Interval::width(field_bits(f))};
+      entry_fields_[i] =
+          Value{f == p4sim::FieldRef::kMetaIngressTs
+                    ? Interval{0, options.timestamp_bound_ns}
+                    : Interval::width(p4sim::field_info(f).analysis_bits)};
     }
     for (const auto& [field, hi] : options.field_bounds) {
       entry_fields_[static_cast<std::size_t>(field)] = Value{Interval{0, hi}};
@@ -224,9 +227,9 @@ class FixpointEngine {
     for (std::size_t r = 0; r < arrays; ++r) {
       if (probe[r] == s[r]) continue;
       out.widened[r] = true;
-      Domain::widen(probe[r], pipe_.registers
-                                  ->info(static_cast<p4sim::RegisterId>(r))
-                                  .width_bits);
+      Domain::widen(probe[r], s[r],
+                    pipe_.registers->info(static_cast<p4sim::RegisterId>(r))
+                        .width_bits);
     }
     s = std::move(probe);
     out.observations = budget_;

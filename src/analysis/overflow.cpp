@@ -5,13 +5,11 @@
 #include <tuple>
 
 #include "analysis/fixpoint.hpp"
-#include "p4sim/disasm.hpp"
 
 namespace analysis {
 
 namespace {
 
-using p4sim::FieldRef;
 using p4sim::Instruction;
 using p4sim::Op;
 using p4sim::Program;
@@ -55,7 +53,8 @@ struct OverflowDomain {
                    U128 steps) {
     v.hi = poly_jump(v.hi, fit[0], steps);
   }
-  static void widen(Interval& v, unsigned width_bits) {
+  static void widen(Interval& v, const Interval& /*before*/,
+                    unsigned width_bits) {
     v = join(v, Interval::width(width_bits));
   }
 
@@ -86,13 +85,13 @@ struct OverflowDomain {
           r = fs[static_cast<std::size_t>(ins.field)];
           break;
         case Op::kStoreField: {
-          const unsigned w = field_bits(ins.field);
-          if (!a.fits(w)) {
-            em.emit("S4-OVF-002", Severity::kError, p.name, loc,
-                    p4sim::field_name(ins.field),
+          const p4sim::FieldInfo& fi = p4sim::field_info(ins.field);
+          if (!a.fits(fi.analysis_bits)) {
+            em.emit("S4-OVF-002", Severity::kError, p.name, loc, fi.name,
                     std::string("value range ") + range_str(a) +
-                        " cannot fit field '" + p4sim::field_name(ins.field) +
-                        "' (" + std::to_string(w) + " bits) " + em.scope);
+                        " cannot fit field '" + fi.name + "' (" +
+                        std::to_string(fi.analysis_bits) + " bits) " +
+                        em.scope);
           }
           fs[static_cast<std::size_t>(ins.field)] = a;
           continue;
@@ -141,36 +140,6 @@ struct OverflowDomain {
 };
 
 }  // namespace
-
-unsigned field_bits(FieldRef f) noexcept {
-  switch (f) {
-    case FieldRef::kEthType: return 16;
-    case FieldRef::kIpv4Src:
-    case FieldRef::kIpv4Dst: return 32;
-    case FieldRef::kIpv4Proto:
-    case FieldRef::kIpv4Ttl: return 8;
-    case FieldRef::kTcpSrcPort:
-    case FieldRef::kTcpDstPort: return 16;
-    case FieldRef::kTcpFlags: return 8;
-    case FieldRef::kUdpSrcPort:
-    case FieldRef::kUdpDstPort: return 16;
-    case FieldRef::kIpv4Valid:
-    case FieldRef::kTcpValid:
-    case FieldRef::kUdpValid:
-    case FieldRef::kEchoValid: return 1;
-    case FieldRef::kEchoValue:
-    case FieldRef::kEchoN:
-    case FieldRef::kEchoXsum:
-    case FieldRef::kEchoXsumsq:
-    case FieldRef::kEchoVar:
-    case FieldRef::kEchoSd: return 64;
-    case FieldRef::kMetaIngressPort: return 16;
-    case FieldRef::kMetaIngressTs: return 64;
-    case FieldRef::kMetaPacketLength: return 16;
-    case FieldRef::kMetaEgressSpec: return 32;
-  }
-  return 64;
-}
 
 void run_overflow_pass(const AbstractPipeline& pipeline,
                        const AnalysisOptions& options,

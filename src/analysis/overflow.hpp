@@ -49,8 +49,4 @@ struct AbstractPipeline {
 void run_overflow_pass(const AbstractPipeline& pipeline,
                        const AnalysisOptions& options, AnalysisResult& result);
 
-/// Natural value-width (bits) of a packet/metadata field, as the overflow
-/// pass assumes when no override is configured.
-[[nodiscard]] unsigned field_bits(p4sim::FieldRef f) noexcept;
-
 }  // namespace analysis

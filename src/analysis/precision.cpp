@@ -7,7 +7,6 @@
 #include "analysis/fixpoint.hpp"
 #include "analysis/pipeline_model.hpp"
 #include "analysis/symbolic.hpp"
-#include "p4sim/disasm.hpp"
 
 namespace analysis {
 
@@ -207,8 +206,11 @@ U128 span_error(const ApproxSpan& span, const PrecVal& in_a,
 }
 
 /// The error domain: the engine tracks and jumps each register's value
-/// high bound and its error bound (clamped to the half-ring), and widening
-/// sets a register's error to the vacuous half of its ring.
+/// high bound and its error bound (clamped to the half-ring).  Widening
+/// takes the value to the register's width, and the error to the vacuous
+/// half of its ring only when the probe step moved the error: add and sub
+/// are ring translations, so an exact counter stays exact when its value
+/// range is widened.
 struct PrecisionDomain {
   using Value = PrecVal;
   static constexpr std::size_t kTracked = 2;
@@ -221,9 +223,9 @@ struct PrecisionDomain {
     v.iv.hi = poly_jump(v.iv.hi, fit[0], steps);
     v.err = e_clamp(poly_jump(v.err, fit[1], steps));
   }
-  static void widen(PrecVal& v, unsigned width_bits) {
+  static void widen(PrecVal& v, const PrecVal& before, unsigned width_bits) {
     v.iv = join(v.iv, Interval::width(width_bits));
-    v.err = err_ring_half(width_bits);
+    if (v.err != before.err) v.err = err_ring_half(width_bits);
   }
 
   /// One abstract execution of a program under the error domain.
@@ -389,7 +391,7 @@ struct PrecisionDomain {
           r = fs[static_cast<std::size_t>(ins.field)];
           break;
         case Op::kStoreField: {
-          const unsigned w = field_bits(ins.field);
+          const unsigned w = p4sim::field_info(ins.field).analysis_bits;
           PrecVal stored = a;
           stored.err = std::min(stored.err, err_ring_half(w));
           stored.absolute = true;  // width-masked store re-anchors the ideal
@@ -537,10 +539,10 @@ PrecisionResult run_precision_pass(const AbstractPipeline& pipeline,
     if (eb.assumed) {
       result.diags.report(
           "S4-PREC-002", Severity::kWarning,
-          "register '" + eb.name + "' error growth did not stabilize and is "
-              "not polynomial; its error bound at " +
+          "register '" + eb.name + "' growth did not stabilize and is not "
+              "polynomial; it was widened at " +
               std::to_string(run.observations) +
-              " observations is assumed at the vacuous half-ring, not proven",
+              " observations, so its bounds are assumed, not proven",
           SourceLoc{pipeline.name, -1, eb.name});
     }
     report_accuracy("register", eb);
@@ -550,9 +552,10 @@ PrecisionResult run_precision_pass(const AbstractPipeline& pipeline,
   for (std::size_t f = 0; f < p4sim::kFieldCount; ++f) {
     if (!written_fields.test(f)) continue;
     const auto field = static_cast<FieldRef>(f);
-    const unsigned w = field_bits(field);
+    const p4sim::FieldInfo& fi = p4sim::field_info(field);
+    const unsigned w = fi.analysis_bits;
     ErrorBound eb;
-    eb.name = p4sim::field_name(field);
+    eb.name = fi.name;
     eb.width_bits = w;
     eb.value_hi = clamp_u64(fields[f].iv.hi);
     eb.err_q32 = fields[f].err;

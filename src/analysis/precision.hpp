@@ -29,8 +29,8 @@
 // fractional error) accumulate without rounding to zero or overflowing.
 //
 // The fixpoint engine is the overflow pass's (fixpoint.hpp).  It tracks both
-// the value and the error history of each register, and widening sets the
-// error to the vacuous half-ring (S4-PREC-002).
+// the value and the error history of each register, and widening sets an
+// error the probe step still moved to the vacuous half-ring (S4-PREC-002).
 //
 // Every bound this pass proves is empirically falsifiable: the
 // precision_differential_test replays random streams against a long-double

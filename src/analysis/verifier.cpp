@@ -47,21 +47,15 @@ AnalysisResult verify_program(const p4sim::Program& program,
                               const AnalysisOptions& options) {
   AnalysisResult result;
 
-  if (options.run_overflow) {
-    AbstractPipeline pipe;
-    pipe.name = program.name;
-    pipe.registers = &regs;
-    pipe.stages.push_back({StageAlternative{&program, options.param_bounds}});
-    run_overflow_pass(pipe, options, result);
-  }
-  if (options.run_hazards) {
-    run_hazard_pass({HazardScope{&program, 0}}, regs, program.name,
-                    options.profile, result);
-  }
-  if (options.run_constraints) {
-    run_constraint_pass(program, options.profile, result);
-    run_resource_lint(regs, program.name, options.profile, result);
-  }
+  AbstractPipeline pipe;
+  pipe.name = program.name;
+  pipe.registers = &regs;
+  pipe.stages.push_back({StageAlternative{&program, options.param_bounds}});
+  run_overflow_pass(pipe, options, result);
+  run_hazard_pass({HazardScope{&program, 0}}, regs, program.name,
+                  options.profile, result);
+  run_constraint_pass(program, options.profile, result);
+  run_resource_lint(regs, program.name, options.profile, result);
 
   result.diags.sort();
   return result;
@@ -114,29 +108,21 @@ AnalysisResult verify_switch(const p4sim::P4Switch& sw,
   // Per-stage action alternatives with action-data bounds joined over the
   // actually installed entries (plus the default action, which the executor
   // runs on a miss).
-  PipelineModel model = build_pipeline_model(sw);
-  const AbstractPipeline& pipe = model.pipe;
-
-  if (options.run_overflow) run_overflow_pass(pipe, options, result);
-  if (options.run_hazards) {
-    run_hazard_pass(model.scopes, sw.registers(), sw.name(), options.profile,
-                    result);
+  const PipelineModel model = build_pipeline_model(sw);
+  run_overflow_pass(model.pipe, options, result);
+  run_hazard_pass(model.scopes, sw.registers(), sw.name(), options.profile,
+                  result);
+  // Lint every registered action, reachable or not: dead actions are one
+  // table_add away from running.
+  for (std::size_t a = 0; a < sw.action_count(); ++a) {
+    run_constraint_pass(sw.action(static_cast<p4sim::ActionId>(a)),
+                        options.profile, result);
   }
-  if (options.run_constraints) {
-    // Lint every registered action, reachable or not: dead actions are one
-    // table_add away from running.
-    for (std::size_t a = 0; a < sw.action_count(); ++a) {
-      run_constraint_pass(sw.action(static_cast<p4sim::ActionId>(a)),
-                          options.profile, result);
-    }
-    run_resource_lint(sw.registers(), sw.name(), options.profile, result);
-  }
-  if (options.lint_emitted_p4) {
-    p4gen::EmitOptions emit_options;
-    emit_options.program_name = sw.name();
-    lint_p4_source(p4gen::emit_p4(sw, emit_options), sw.name() + ".p4",
-                   result);
-  }
+  run_resource_lint(sw.registers(), sw.name(), options.profile, result);
+  // The p4gen emission, for div/mod/float/loop.
+  p4gen::EmitOptions emit_options;
+  emit_options.program_name = sw.name();
+  lint_p4_source(p4gen::emit_p4(sw, emit_options), sw.name() + ".p4", result);
 
   result.diags.sort();
   return result;

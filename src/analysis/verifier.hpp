@@ -77,16 +77,11 @@ struct AnalysisOptions {
   std::uint64_t max_observations = std::uint64_t{1} << 20;
   /// Upper bound on the ingress timestamp (ns since boot); ~78 hours.
   std::uint64_t timestamp_bound_ns = std::uint64_t{1} << 48;
-  /// Per-field overrides of the natural header-width value bounds.
+  /// Per-field overrides of the `field_info().analysis_bits` value bounds.
   std::vector<std::pair<p4sim::FieldRef, std::uint64_t>> field_bounds;
   /// Program-level entry only: value bounds of action_data words (defaults
   /// to [0,0] like the executor's missing-param behaviour).
   std::vector<Interval> param_bounds;
-  bool run_overflow = true;
-  bool run_hazards = true;
-  bool run_constraints = true;
-  /// Switch-level only: also lint the p4gen emission for div/mod/float/loop.
-  bool lint_emitted_p4 = true;
 };
 
 /// Final proven bound of one register array — the "prove" artifact the CLI

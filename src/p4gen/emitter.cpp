@@ -18,43 +18,9 @@ using p4sim::OpShape;
 using p4sim::P4Switch;
 using p4sim::Program;
 using p4sim::TempId;
+using p4sim::field_info;
 
 namespace {
-
-/// P4 lvalue for a packet/metadata field.
-const char* p4_field(FieldRef f) {
-  switch (f) {
-    case FieldRef::kEthType: return "hdr.ethernet.ether_type";
-    case FieldRef::kIpv4Src: return "hdr.ipv4.src_addr";
-    case FieldRef::kIpv4Dst: return "hdr.ipv4.dst_addr";
-    case FieldRef::kIpv4Proto: return "hdr.ipv4.protocol";
-    case FieldRef::kIpv4Ttl: return "hdr.ipv4.ttl";
-    case FieldRef::kIpv4Valid: return "(bit<64>)(bit<1>)hdr.ipv4.isValid()";
-    case FieldRef::kTcpSrcPort: return "hdr.tcp.src_port";
-    case FieldRef::kTcpDstPort: return "hdr.tcp.dst_port";
-    case FieldRef::kTcpFlags: return "hdr.tcp.flags";
-    case FieldRef::kTcpValid: return "(bit<64>)(bit<1>)hdr.tcp.isValid()";
-    case FieldRef::kUdpSrcPort: return "hdr.udp.src_port";
-    case FieldRef::kUdpDstPort: return "hdr.udp.dst_port";
-    case FieldRef::kUdpValid: return "(bit<64>)(bit<1>)hdr.udp.isValid()";
-    case FieldRef::kEchoValue: return "hdr.stat4_echo.value";
-    case FieldRef::kEchoN: return "hdr.stat4_echo.n";
-    case FieldRef::kEchoXsum: return "hdr.stat4_echo.xsum";
-    case FieldRef::kEchoXsumsq: return "hdr.stat4_echo.xsumsq";
-    case FieldRef::kEchoVar: return "hdr.stat4_echo.var_nx";
-    case FieldRef::kEchoSd: return "hdr.stat4_echo.sd_nx";
-    case FieldRef::kEchoValid: return "(bit<64>)(bit<1>)hdr.stat4_echo.isValid()";
-    case FieldRef::kMetaIngressPort:
-      return "(bit<64>)standard_metadata.ingress_port";
-    case FieldRef::kMetaIngressTs:
-      return "(bit<64>)standard_metadata.ingress_global_timestamp";
-    case FieldRef::kMetaPacketLength:
-      return "(bit<64>)standard_metadata.packet_length";
-    case FieldRef::kMetaEgressSpec:
-      return "meta.egress_spec64";
-  }
-  return "/*?*/0";
-}
 
 std::string tname(TempId id) { return "meta.t" + std::to_string(id); }
 
@@ -71,13 +37,13 @@ void emit_special(std::ostringstream& os, const P4Switch& sw,
       os << t(ins.dst) << " = p" << ins.imm << ';';
       break;
     case Op::kLoadField:
-      os << t(ins.dst) << " = (bit<64>)" << p4_field(ins.field) << ';';
+      os << t(ins.dst) << " = (bit<64>)" << field_info(ins.field).p4 << ';';
       break;
     case Op::kStoreField:
       if (ins.field == FieldRef::kMetaEgressSpec) {
-        os << p4_field(ins.field) << " = " << t(ins.a) << ';';
+        os << field_info(ins.field).p4 << " = " << t(ins.a) << ';';
       } else {
-        os << p4_field(ins.field) << " = (bit<"
+        os << field_info(ins.field).p4 << " = (bit<"
            << "64>)" << t(ins.a) << ';';
       }
       break;
@@ -192,7 +158,7 @@ const char* match_kind(MatchKind k) {
 /// Key expression for a table key field (tables match header fields, not
 /// the 64-bit casts used in expressions).
 std::string key_field(FieldRef f) {
-  const std::string s = p4_field(f);
+  const std::string s = field_info(f).p4;
   // Strip the value-cast wrappers used for expression contexts.
   if (s.rfind("(bit<64>)", 0) == 0) {
     const auto inner = s.substr(9);

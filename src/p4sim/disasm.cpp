@@ -4,36 +4,6 @@
 
 namespace p4sim {
 
-const char* field_name(FieldRef f) noexcept {
-  switch (f) {
-    case FieldRef::kEthType: return "eth.type";
-    case FieldRef::kIpv4Src: return "ipv4.src";
-    case FieldRef::kIpv4Dst: return "ipv4.dst";
-    case FieldRef::kIpv4Proto: return "ipv4.proto";
-    case FieldRef::kIpv4Ttl: return "ipv4.ttl";
-    case FieldRef::kIpv4Valid: return "ipv4.$valid";
-    case FieldRef::kTcpSrcPort: return "tcp.sport";
-    case FieldRef::kTcpDstPort: return "tcp.dport";
-    case FieldRef::kTcpFlags: return "tcp.flags";
-    case FieldRef::kTcpValid: return "tcp.$valid";
-    case FieldRef::kUdpSrcPort: return "udp.sport";
-    case FieldRef::kUdpDstPort: return "udp.dport";
-    case FieldRef::kUdpValid: return "udp.$valid";
-    case FieldRef::kEchoValue: return "echo.value";
-    case FieldRef::kEchoN: return "echo.n";
-    case FieldRef::kEchoXsum: return "echo.xsum";
-    case FieldRef::kEchoXsumsq: return "echo.xsumsq";
-    case FieldRef::kEchoVar: return "echo.var";
-    case FieldRef::kEchoSd: return "echo.sd";
-    case FieldRef::kEchoValid: return "echo.$valid";
-    case FieldRef::kMetaIngressPort: return "meta.ingress_port";
-    case FieldRef::kMetaIngressTs: return "meta.ingress_ts";
-    case FieldRef::kMetaPacketLength: return "meta.pkt_len";
-    case FieldRef::kMetaEgressSpec: return "meta.egress_spec";
-  }
-  return "?";
-}
-
 namespace {
 
 std::string reg_name(RegisterId id, const RegisterFile* registers) {
@@ -75,10 +45,10 @@ std::string to_string(const Instruction& ins, const RegisterFile* registers) {
       os << t(ins.dst) << " = action_data[" << ins.imm << ']';
       break;
     case Op::kLoadField:
-      os << t(ins.dst) << " = " << field_name(ins.field);
+      os << t(ins.dst) << " = " << field_info(ins.field).name;
       break;
     case Op::kStoreField:
-      os << field_name(ins.field) << " := " << t(ins.a);
+      os << field_info(ins.field).name << " := " << t(ins.a);
       break;
     case Op::kLoadReg:
       os << t(ins.dst) << " = " << reg_name(ins.reg, registers) << '['

@@ -26,7 +26,4 @@ namespace p4sim {
 [[nodiscard]] std::string disassemble(const Program& program,
                                       const RegisterFile* registers = nullptr);
 
-/// Name of a field (e.g. "ipv4.dst") for diagnostics.
-[[nodiscard]] const char* field_name(FieldRef f) noexcept;
-
 }  // namespace p4sim

@@ -7,33 +7,58 @@ namespace p4sim {
 
 const FieldInfo& field_info(FieldRef f) noexcept {
   // One entry per FieldRef, in enum order; every width/validity/writability
-  // statement here is mirrored bit-for-bit by PacketView::get/set below.
+  // statement here is mirrored bit-for-bit by PacketView::get/set
+  // (tests/p4sim_field_table_test.cpp holds them to it).
+  using F = FieldRef;
   static const FieldInfo kTable[kFieldCount] = {
-      {"eth.type", 16, true, true, false, FieldRef::kEthType},
-      {"ipv4.src", 32, true, false, false, FieldRef::kIpv4Valid},
-      {"ipv4.dst", 32, true, false, false, FieldRef::kIpv4Valid},
-      {"ipv4.proto", 8, true, false, false, FieldRef::kIpv4Valid},
-      {"ipv4.ttl", 8, true, false, false, FieldRef::kIpv4Valid},
-      {"ipv4.$valid", 1, false, true, true, FieldRef::kIpv4Valid},
-      {"tcp.src_port", 16, true, false, false, FieldRef::kTcpValid},
-      {"tcp.dst_port", 16, true, false, false, FieldRef::kTcpValid},
-      {"tcp.flags", 8, true, false, false, FieldRef::kTcpValid},
-      {"tcp.$valid", 1, false, true, true, FieldRef::kTcpValid},
-      {"udp.src_port", 16, true, false, false, FieldRef::kUdpValid},
-      {"udp.dst_port", 16, true, false, false, FieldRef::kUdpValid},
-      {"udp.$valid", 1, false, true, true, FieldRef::kUdpValid},
-      {"echo.value", 64, true, false, false, FieldRef::kEchoValid},
-      {"echo.n", 64, true, false, false, FieldRef::kEchoValid},
-      {"echo.xsum", 64, true, false, false, FieldRef::kEchoValid},
-      {"echo.xsumsq", 64, true, false, false, FieldRef::kEchoValid},
-      {"echo.var", 64, true, false, false, FieldRef::kEchoValid},
-      {"echo.sd", 64, true, false, false, FieldRef::kEchoValid},
-      {"echo.$valid", 1, false, true, true, FieldRef::kEchoValid},
-      {"meta.ingress_port", 64, false, true, false, FieldRef::kMetaIngressPort},
-      {"meta.ingress_ts", 64, false, true, false, FieldRef::kMetaIngressTs},
-      {"meta.packet_length", 64, false, true, false,
-       FieldRef::kMetaPacketLength},
-      {"meta.egress_spec", 64, true, true, false, FieldRef::kMetaEgressSpec},
+      // name, width, writable, always_valid, is_validity, validity,
+      // analysis_bits, p4
+      {"eth.type", 16, true, true, false, F::kEthType, 16,
+       "hdr.ethernet.ether_type"},
+      {"ipv4.src", 32, true, false, false, F::kIpv4Valid, 32,
+       "hdr.ipv4.src_addr"},
+      {"ipv4.dst", 32, true, false, false, F::kIpv4Valid, 32,
+       "hdr.ipv4.dst_addr"},
+      {"ipv4.proto", 8, true, false, false, F::kIpv4Valid, 8,
+       "hdr.ipv4.protocol"},
+      {"ipv4.ttl", 8, true, false, false, F::kIpv4Valid, 8, "hdr.ipv4.ttl"},
+      {"ipv4.$valid", 1, false, true, true, F::kIpv4Valid, 1,
+       "(bit<64>)(bit<1>)hdr.ipv4.isValid()"},
+      {"tcp.src_port", 16, true, false, false, F::kTcpValid, 16,
+       "hdr.tcp.src_port"},
+      {"tcp.dst_port", 16, true, false, false, F::kTcpValid, 16,
+       "hdr.tcp.dst_port"},
+      {"tcp.flags", 8, true, false, false, F::kTcpValid, 8, "hdr.tcp.flags"},
+      {"tcp.$valid", 1, false, true, true, F::kTcpValid, 1,
+       "(bit<64>)(bit<1>)hdr.tcp.isValid()"},
+      {"udp.src_port", 16, true, false, false, F::kUdpValid, 16,
+       "hdr.udp.src_port"},
+      {"udp.dst_port", 16, true, false, false, F::kUdpValid, 16,
+       "hdr.udp.dst_port"},
+      {"udp.$valid", 1, false, true, true, F::kUdpValid, 1,
+       "(bit<64>)(bit<1>)hdr.udp.isValid()"},
+      {"echo.value", 64, true, false, false, F::kEchoValid, 64,
+       "hdr.stat4_echo.value"},
+      {"echo.n", 64, true, false, false, F::kEchoValid, 64,
+       "hdr.stat4_echo.n"},
+      {"echo.xsum", 64, true, false, false, F::kEchoValid, 64,
+       "hdr.stat4_echo.xsum"},
+      {"echo.xsumsq", 64, true, false, false, F::kEchoValid, 64,
+       "hdr.stat4_echo.xsumsq"},
+      {"echo.var", 64, true, false, false, F::kEchoValid, 64,
+       "hdr.stat4_echo.var_nx"},
+      {"echo.sd", 64, true, false, false, F::kEchoValid, 64,
+       "hdr.stat4_echo.sd_nx"},
+      {"echo.$valid", 1, false, true, true, F::kEchoValid, 1,
+       "(bit<64>)(bit<1>)hdr.stat4_echo.isValid()"},
+      {"meta.ingress_port", 64, false, true, false, F::kMetaIngressPort, 16,
+       "(bit<64>)standard_metadata.ingress_port"},
+      {"meta.ingress_ts", 64, false, true, false, F::kMetaIngressTs, 64,
+       "(bit<64>)standard_metadata.ingress_global_timestamp"},
+      {"meta.packet_length", 64, false, true, false, F::kMetaPacketLength, 16,
+       "(bit<64>)standard_metadata.packet_length"},
+      {"meta.egress_spec", 64, true, true, false, F::kMetaEgressSpec, 32,
+       "meta.egress_spec64"},
   };
   return kTable[static_cast<std::size_t>(f)];
 }

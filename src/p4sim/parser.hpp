@@ -55,17 +55,25 @@ enum class FieldRef : std::uint8_t {
 inline constexpr std::size_t kFieldCount =
     static_cast<std::size_t>(FieldRef::kMetaEgressSpec) + 1;
 
-/// Static description of one FieldRef, mirroring PacketView::get/set
-/// bit-exactly — the introspection surface the symbolic executor and any
-/// other IR-level analysis build their field models from:
-///   width_bits   — get() results fit in this many bits, and set() persists
-///                  only the low width_bits (the static_cast truncation);
-///   writable     — set() has an effect; false for the *Valid bits and the
-///                  read-only ingress metadata;
-///   always_valid — get/set are unconditional; when false, both are gated on
-///                  the owning header's validity bit (`validity`): get reads
-///                  0 and set is a no-op while the header is absent;
-///   is_validity  — the field IS a header validity bit (0/1, read-only).
+/// Static description of one FieldRef: the one field table every layer
+/// reads (names in the disassembler and diagnostics, entry bounds in the
+/// static passes, spellings in the P4 emitter, LPM masks in the tables).
+/// The first six columns mirror PacketView::get/set bit-exactly:
+///   width_bits    — get() results fit in this many bits, and set() persists
+///                   only the low width_bits (the static_cast truncation);
+///   writable      — set() has an effect; false for the *Valid bits and the
+///                   read-only ingress metadata;
+///   always_valid  — get/set are unconditional; when false, both are gated
+///                   on the owning header's validity bit (`validity`): get
+///                   reads 0 and set is a no-op while the header is absent;
+///   is_validity   — the field IS a header validity bit (0/1, read-only).
+/// The last two describe the field to the analyses and the emitter:
+///   analysis_bits — the value width the static passes assume on entry and
+///                   check every store against; narrower than width_bits
+///                   for the port, length and egress metadata, which the
+///                   simulator holds in 64-bit words;
+///   p4            — the field's P4_16 spelling in emitted actions and
+///                   table keys (p4gen).
 struct FieldInfo {
   const char* name = "?";
   std::uint32_t width_bits = 64;
@@ -73,6 +81,8 @@ struct FieldInfo {
   bool always_valid = true;
   bool is_validity = false;
   FieldRef validity = FieldRef::kEthType;  ///< meaningful iff !always_valid
+  std::uint32_t analysis_bits = 64;
+  const char* p4 = "/*?*/0";
 };
 
 [[nodiscard]] const FieldInfo& field_info(FieldRef f) noexcept;
@@ -86,7 +96,9 @@ void deparse(const ParsedPacket& parsed, Packet& pkt);
 
 /// Field read/write over a ParsedPacket + metadata words.  get/set are
 /// inline: they sit on the per-packet hot path behind every guard check,
-/// table-key probe and kLoadField/kStoreField op.
+/// table-key probe and kLoadField/kStoreField op.  So they stay hand-written
+/// switches rather than reads of field_info(); tests/p4sim_field_table_test
+/// holds them to the table.
 struct PacketView {
   ParsedPacket* parsed = nullptr;
   std::uint64_t meta_ingress_port = 0;

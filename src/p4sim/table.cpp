@@ -90,7 +90,7 @@ bool MatchActionTable::entry_matches(const TableEntry& e,
         break;
       case MatchKind::kLpm: {
         if (km.prefix_len == 0) break;  // matches everything
-        const unsigned bits = km.field_bits > 64 ? 64u : km.field_bits;
+        const unsigned bits = field_info(key_layout_[i].field).width_bits;
         const unsigned plen = km.prefix_len > bits
                                   ? bits
                                   : static_cast<unsigned>(km.prefix_len);
@@ -192,7 +192,7 @@ void MatchActionTable::compile() const {
             ck.value = 0;
             break;
           }
-          const unsigned bits = km.field_bits > 64 ? 64u : km.field_bits;
+          const unsigned bits = field_info(ck.field).width_bits;
           const unsigned plen = km.prefix_len > bits
                                     ? bits
                                     : static_cast<unsigned>(km.prefix_len);

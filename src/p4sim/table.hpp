@@ -22,7 +22,8 @@ using EntryHandle = std::uint64_t;
 
 enum class MatchKind : std::uint8_t {
   kExact,
-  kLpm,      ///< longest-prefix match on the field's low `prefix_len` bits
+  kLpm,      ///< longest-prefix match on the key field's top `prefix_len`
+             ///< bits (of its field_info().width_bits)
   kTernary,  ///< value/mask with priority
 };
 
@@ -37,8 +38,7 @@ struct KeyMatch {
   Word value = 0;
   Word mask = ~Word{0};          ///< ternary only
   std::uint8_t prefix_len = 32;  ///< lpm only (bits of `value`, MSB-first
-                                 ///< within the field's natural width)
-  std::uint8_t field_bits = 32;  ///< natural width of the field in bits
+                                 ///< within the key field's width_bits)
 };
 
 struct TableEntry {

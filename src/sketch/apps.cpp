@@ -135,7 +135,6 @@ p4sim::EntryHandle SketchApp::install_forward(std::uint32_t prefix,
   KeyMatch km;
   km.value = prefix;
   km.prefix_len = len;
-  km.field_bits = 32;
   e.key.push_back(km);
   e.action = forward_action_;
   e.action_data = {static_cast<Word>(port) + 1};
@@ -151,7 +150,6 @@ p4sim::EntryHandle SketchApp::install_sketch(std::uint32_t prefix,
   KeyMatch km;
   km.value = prefix;
   km.prefix_len = len;
-  km.field_bits = 32;
   e.key.push_back(km);
   e.action = update_action_;
   e.action_data.assign(kSkAdWordCount, 0);
@@ -165,7 +163,6 @@ p4sim::EntryHandle SketchApp::install_drop_exact(std::uint32_t key) {
   TableEntry e;
   KeyMatch km;
   km.value = key;
-  km.field_bits = 32;
   e.key.push_back(km);
   e.action = drop_action_;
   return sw_.table(block_table_).insert(std::move(e));

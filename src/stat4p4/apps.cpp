@@ -82,7 +82,6 @@ p4sim::EntryHandle MonitorApp::install_forward(std::uint32_t prefix,
   KeyMatch km;
   km.value = prefix;
   km.prefix_len = len;
-  km.field_bits = 32;
   e.key.push_back(km);
   e.action = forward_action_;
   e.action_data = {static_cast<Word>(port) + 1};
@@ -104,7 +103,6 @@ p4sim::EntryHandle MonitorApp::install_rate_monitor(
   KeyMatch km;
   km.value = prefix;
   km.prefix_len = len;
-  km.field_bits = 32;
   e.key.push_back(km);
   e.action = window_action_;
   e.action_data.assign(kAdWordCount, 0);
@@ -130,7 +128,6 @@ p4sim::TableEntry MonitorApp::make_freq_entry(
   KeyMatch dst;
   dst.value = spec.dst_prefix;
   dst.prefix_len = spec.dst_prefix_len;
-  dst.field_bits = 32;
   e.key.push_back(dst);
 
   KeyMatch proto;

@@ -9,7 +9,6 @@
 
 namespace {
 
-using analysis::AnalysisOptions;
 using analysis::AnalysisResult;
 using analysis::Severity;
 using analysis::TargetProfile;
@@ -26,13 +25,22 @@ const analysis::Diagnostic* find_rule(const AnalysisResult& r,
   return nullptr;
 }
 
-AnalysisOptions hazards_only(TargetProfile profile = TargetProfile::bmv2()) {
-  AnalysisOptions o;
-  o.profile = std::move(profile);
-  o.run_overflow = false;
-  o.run_constraints = false;
-  o.lint_emitted_p4 = false;
-  return o;
+/// The hazard pass alone, over one program as verify_program scopes it.
+AnalysisResult hazards(const Program& program, const RegisterFile& regs,
+                       const TargetProfile& profile = TargetProfile::bmv2()) {
+  AnalysisResult r;
+  analysis::run_hazard_pass({analysis::HazardScope{&program, 0}}, regs,
+                            program.name, profile, r);
+  return r;
+}
+
+/// The hazard pass alone, over a switch as verify_switch scopes it.
+AnalysisResult hazards(const p4sim::P4Switch& sw,
+                       const TargetProfile& profile = TargetProfile::bmv2()) {
+  AnalysisResult r;
+  analysis::run_hazard_pass(analysis::build_pipeline_model(sw).scopes,
+                            sw.registers(), sw.name(), profile, r);
+  return r;
 }
 
 Program multi_index_program() {
@@ -49,8 +57,7 @@ Program multi_index_program() {
 TEST(HazardPass, MultiIndexAccessIsWarningOnBmv2) {
   RegisterFile regs;
   regs.declare("counters", 16, 64);
-  const AnalysisResult r =
-      analysis::verify_program(multi_index_program(), regs, hazards_only());
+  const AnalysisResult r = hazards(multi_index_program(), regs);
   const auto* d = find_rule(r, "S4-HAZ-001");
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->severity, Severity::kWarning);
@@ -61,8 +68,8 @@ TEST(HazardPass, MultiIndexAccessIsWarningOnBmv2) {
 TEST(HazardPass, MultiIndexAccessEscalatesToErrorOnStrict) {
   RegisterFile regs;
   regs.declare("counters", 16, 64);
-  const AnalysisResult r = analysis::verify_program(
-      multi_index_program(), regs, hazards_only(TargetProfile::strict()));
+  const AnalysisResult r =
+      hazards(multi_index_program(), regs, TargetProfile::strict());
   const auto* d = find_rule(r, "S4-HAZ-001");
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->severity, Severity::kError);
@@ -80,8 +87,7 @@ TEST(HazardPass, ReadAfterWriteSplitsTheRmw) {
   b.store_reg(0, idx, inc);
   const auto again = b.load_reg(0, idx);  // second access after the write
   b.store_field(FieldRef::kMetaEgressSpec, again);
-  const AnalysisResult r =
-      analysis::verify_program(b.take(), regs, hazards_only());
+  const AnalysisResult r = hazards(b.take(), regs);
   const auto* d = find_rule(r, "S4-HAZ-002");
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->severity, Severity::kWarning);
@@ -105,8 +111,7 @@ TEST(HazardPass, ValueNumberingRecognizesEqualIndexExpressions) {
   const auto f2 = b.load_field(FieldRef::kIpv4Src);
   const auto idx2 = b.band(b.shr(f2, shift), mask);
   b.store_reg(0, idx2, inc);
-  const AnalysisResult r =
-      analysis::verify_program(b.take(), regs, hazards_only());
+  const AnalysisResult r = hazards(b.take(), regs);
   EXPECT_EQ(find_rule(r, "S4-HAZ-001"), nullptr);
   EXPECT_EQ(find_rule(r, "S4-HAZ-002"), nullptr);
   EXPECT_TRUE(r.ok());
@@ -125,8 +130,7 @@ TEST(HazardPass, RegisterLoadsAreNeverEqualIndexSources) {
   const auto va = b.load_reg(1, idx_a);
   const auto vb = b.load_reg(1, idx_b);
   b.store_field(FieldRef::kMetaEgressSpec, b.add(va, vb));
-  const AnalysisResult r =
-      analysis::verify_program(b.take(), regs, hazards_only());
+  const AnalysisResult r = hazards(b.take(), regs);
   const auto* d = find_rule(r, "S4-HAZ-001");
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->loc.object, "data");
@@ -148,16 +152,14 @@ TEST(HazardPass, CrossStageSharingIsNoteOnBmv2ErrorOnStrict) {
   sw.add_program_stage(writer);
   sw.add_program_stage(reader);
 
-  const AnalysisResult bmv2 =
-      analysis::verify_switch(sw, hazards_only());
+  const AnalysisResult bmv2 = hazards(sw);
   const auto* note = find_rule(bmv2, "S4-HAZ-003");
   ASSERT_NE(note, nullptr);
   EXPECT_EQ(note->severity, Severity::kNote);
   EXPECT_EQ(note->loc.program, "fixture_cross_stage");
   EXPECT_TRUE(bmv2.ok());
 
-  const AnalysisResult strict =
-      analysis::verify_switch(sw, hazards_only(TargetProfile::strict()));
+  const AnalysisResult strict = hazards(sw, TargetProfile::strict());
   const auto* err = find_rule(strict, "S4-HAZ-003");
   ASSERT_NE(err, nullptr);
   EXPECT_EQ(err->severity, Severity::kError);
@@ -174,8 +176,7 @@ TEST(HazardPass, SingleRmwProgramIsClean) {
   const auto cur = b.load_reg(0, idx);
   const auto one = b.konst(1);
   b.store_reg(0, idx, b.add(cur, one));
-  const AnalysisResult r = analysis::verify_program(
-      b.take(), regs, hazards_only(TargetProfile::strict()));
+  const AnalysisResult r = hazards(b.take(), regs, TargetProfile::strict());
   EXPECT_TRUE(r.diags.diagnostics().empty());
 }
 
@@ -183,7 +184,7 @@ TEST(HazardPass, ShippedTrackFreqMultiIndexStaysBelowErrorOnBmv2) {
   // The shipped percentile step legitimately probes neighbouring counter
   // cells; on bmv2 that is a portability warning, never an error.
   const auto sw = analysis::build_example("case_study");
-  const AnalysisResult r = analysis::verify_switch(*sw, hazards_only());
+  const AnalysisResult r = hazards(*sw);
   const auto* d = find_rule(r, "S4-HAZ-001");
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->severity, Severity::kWarning);

@@ -73,10 +73,8 @@ TEST(ConstraintPass, VariableShiftRejectedOnConstShiftTarget) {
   b.store_field(FieldRef::kMetaEgressSpec, b.shr(v, s));
   const p4sim::Program p = b.take();
 
-  AnalysisOptions strict;
-  strict.profile = TargetProfile::strict();
-  strict.run_overflow = false;
-  const AnalysisResult r = analysis::verify_program(p, regs, strict);
+  AnalysisResult r;
+  analysis::run_constraint_pass(p, TargetProfile::strict(), r);
   const auto* d = find_rule(r, "S4-TGT-004");
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->severity, Severity::kError);
@@ -86,15 +84,12 @@ TEST(ConstraintPass, VariableShiftRejectedOnConstShiftTarget) {
 }
 
 TEST(ConstraintPass, ConstantShiftAcceptedOnConstShiftTarget) {
-  RegisterFile regs;
   ProgramBuilder b("fixture_const_shift");
   const auto v = b.load_field(FieldRef::kIpv4Src);
   const auto eight = b.konst(8);
   b.store_field(FieldRef::kMetaEgressSpec, b.shr(v, eight));
-  AnalysisOptions strict;
-  strict.profile = TargetProfile::strict();
-  strict.run_overflow = false;
-  const AnalysisResult r = analysis::verify_program(b.take(), regs, strict);
+  AnalysisResult r;
+  analysis::run_constraint_pass(b.take(), TargetProfile::strict(), r);
   EXPECT_EQ(find_rule(r, "S4-TGT-004"), nullptr);
 }
 

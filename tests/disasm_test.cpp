@@ -78,11 +78,5 @@ TEST(Disasm, EveryOpcodeHasAName) {
   }
 }
 
-TEST(Disasm, EveryFieldHasAName) {
-  for (std::size_t f = 0; f < kFieldCount; ++f) {
-    EXPECT_STRNE(field_name(static_cast<FieldRef>(f)), "?");
-  }
-}
-
 }  // namespace
 }  // namespace p4sim

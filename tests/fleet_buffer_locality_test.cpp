@@ -160,7 +160,6 @@ void configure_switch(stat4p4::MonitorApp& app) {
   p4sim::KeyMatch km;
   km.value = ipv4(10, 9, 0, 0);
   km.prefix_len = 16;
-  km.field_bits = 32;
   drop.key.push_back(km);
   drop.action = fwd.default_action();
   fwd.insert(std::move(drop));

@@ -25,11 +25,10 @@ KeyMatch exact(Word v) {
   return k;
 }
 
-KeyMatch lpm(Word v, std::uint8_t len, std::uint8_t bits = 32) {
+KeyMatch lpm(Word v, std::uint8_t len) {
   KeyMatch k;
   k.value = v;
   k.prefix_len = len;
-  k.field_bits = bits;
   return k;
 }
 
@@ -96,6 +95,25 @@ TEST(Table, LpmZeroLengthIsWildcard) {
   t.insert(any);
   ViewFixture f;
   EXPECT_TRUE(t.lookup(f.view).hit);
+}
+
+TEST(Table, LpmMasksWithinTheKeyFieldsWidth) {
+  // A /8 on a 16-bit port covers its high byte: 0x1200/8 is 0x1200-0x12FF.
+  // Both the compiled cache and the reference scan take the width from the
+  // key field's row in field_info(), not from a 32-bit default.
+  MatchActionTable t("t", {KeySpec{FieldRef::kUdpDstPort, MatchKind::kLpm}});
+  TableEntry e;
+  e.key = {lpm(0x1200, 8)};
+  e.action = 6;
+  t.insert(e);
+
+  ViewFixture f;
+  f.parsed.udp->dst_port = 0x12AB;
+  EXPECT_TRUE(t.lookup(f.view).hit);
+  EXPECT_TRUE(t.lookup_linear(f.view).hit);
+  f.parsed.udp->dst_port = 0x13AB;
+  EXPECT_FALSE(t.lookup(f.view).hit);
+  EXPECT_FALSE(t.lookup_linear(f.view).hit);
 }
 
 TEST(Table, TernaryWithPriority) {

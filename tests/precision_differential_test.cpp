@@ -293,7 +293,7 @@ struct Oracle {
           d[ins.dst] = fdev[static_cast<std::size_t>(ins.field)];
           break;
         case Op::kStoreField: {
-          const unsigned w = analysis::field_bits(ins.field);
+          const unsigned w = p4sim::field_info(ins.field).analysis_bits;
           const Word masked =
               w >= 64 ? ta : (ta & ((Word{1} << w) - 1));
           view.set(ins.field, ta);
@@ -441,7 +441,7 @@ void replay_app(const std::string& app, std::uint64_t seed) {
   }
   for (std::size_t f = 0; f < p4sim::kFieldCount; ++f) {
     const analysis::ErrorBound* b = find_bound(
-        pres.field_bounds, p4sim::field_name(static_cast<FieldRef>(f)));
+        pres.field_bounds, p4sim::field_info(static_cast<FieldRef>(f)).name);
     if (b == nullptr) continue;  // pipeline never writes this field
     EXPECT_LE(oracle.max_field_dev[f], proven_units(*b) + kSlack)
         << app << ": field " << b->name << " measured |ideal - impl| "

@@ -257,16 +257,6 @@ int main(int argc, char** argv) {
     any_errors = any_errors || !result.ok();
 
     if (json) {
-      // Static cost pre/post optimization, measured on a throwaway copy of
-      // the app (the linted switch itself is never rewritten) — the numbers
-      // scripts/bench_compare.py --static tracks next to ns/packet.
-      analysis::PassManagerOptions opt_options;
-      opt_options.profile = options.profile;
-      const std::shared_ptr<p4sim::P4Switch> scratch =
-          analysis::build_example_mutable(name);
-      const analysis::OptimizeResult opt =
-          analysis::optimize_switch(*scratch, opt_options);
-
       if (!first) std::cout << ",";
       std::cout << "\n{\"app\":\"" << analysis::json_escape(name)
                 << "\",\"profile\":\""
@@ -274,9 +264,7 @@ int main(int argc, char** argv) {
                 << "\",\"fixpoint\":" << (result.fixpoint ? "true" : "false")
                 << ",\"iterations\":" << result.iterations
                 << ",\"max_observations\":" << options.max_observations
-                << ",\"cost\":";
-      analysis::render_cost_json(std::cout, opt.before, opt.after);
-      std::cout << ",\"report\":";
+                << ",\"report\":";
       result.diags.render_json(std::cout);
       std::cout << "}";
     } else {
